@@ -4,7 +4,6 @@ from .evo import (
     Bounds,
     BudgetExhausted,
     FunctionProblem,
-    SolverResult,
     TrackedObjective,
 )
 from .harness import ExperimentConfig, run_experiment, run_trial
@@ -24,7 +23,6 @@ __all__ = [
     "FunctionProblem",
     "PowerAllocationProblem",
     "SOLVERS",
-    "SolverResult",
     "TrackedObjective",
     "WsnConfig",
     "friedman_ranks",

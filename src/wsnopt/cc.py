@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evo import TrackedObjective, result_from
+from .evo import TrackedObjective
 
 
 @dataclass
@@ -151,4 +151,4 @@ def cc_optimize(
         before = context.fitness
         subsolvers[group].step(rng)
         scheduler.record(group, max(0.0, before - context.fitness))
-    return result_from(objective)
+    return objective

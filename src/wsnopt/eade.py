@@ -12,13 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .evo import (
-    SolverResult,
     TrackedObjective,
     binomial_crossover,
     de_rand_1_bin,
     init_population,
     reflect_into_bounds,
-    result_from,
 )
 
 
@@ -125,7 +123,7 @@ class EadeSolver:
         objective: TrackedObjective,
         rng: np.random.Generator,
         population_size: int,
-    ) -> SolverResult:
+    ) -> TrackedObjective:
         n_pop = int(population_size)
         n_slice = int(self.slice_fraction * n_pop)
         if n_slice < 1 or n_pop - 2 * n_slice < 1:
@@ -171,4 +169,4 @@ class EadeSolver:
                 pool.record(drawn[i], bool(better[i]))
             pop[:n][better] = trials[better]
             fit[:n][better] = values[better]
-        return result_from(objective)
+        return objective

@@ -71,9 +71,6 @@ class FunctionProblem:
         self.bounds = bounds
         self.batch_fn = batch_fn
 
-    def value(self, x: np.ndarray, iteration: int) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
-
     def batch(self, X: np.ndarray, iterations: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.batch_fn is not None:
@@ -91,7 +88,8 @@ class TrackedObjective:
     penalty iteration for each call as ``ceil(k / population_size)`` where
     ``k`` is the 1-based index of the evaluation, so solvers only need to
     keep ``population_size`` current.  Probes pin the iteration to 1, which
-    keeps structure detection consistent regardless of when it runs.
+    keeps structure detection consistent regardless of when it runs.  Every
+    solver returns the tracker itself as its result.
     """
 
     def __init__(self, problem, max_evals: int, population_size: int = 1):
@@ -132,36 +130,37 @@ class TrackedObjective:
                 self.best_feasible_power = float(powers[k])
                 self.best_feasible_x = X[k].copy()
 
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+    def _evaluate(self, X: np.ndarray, pinned: bool) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = len(X)
         if n == 0:
             return np.empty(0)
         start = self.budget.used
         self.budget.spend(n)
-        ks = start + 1 + np.arange(n)
-        iterations = np.ceil(ks / self.population_size)
+        if pinned:
+            iterations = np.ones(n)
+        else:
+            iterations = np.ceil((start + 1 + np.arange(n)) / self.population_size)
         values, feasible, powers = self.problem.batch(X, iterations)
         self._record(X, values, feasible, powers, start)
         return values
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        return self._evaluate(X, pinned=False)
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def probe_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate with the penalty iteration pinned to 1 (structure probes)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = len(X)
-        if n == 0:
-            return np.empty(0)
-        start = self.budget.used
-        self.budget.spend(n)
-        values, feasible, powers = self.problem.batch(X, np.ones(n))
-        self._record(X, values, feasible, powers, start)
-        return values
+        return self._evaluate(X, pinned=True)
 
     def probe(self, x: np.ndarray) -> float:
         return float(self.probe_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+    @property
+    def evals_used(self) -> int:
+        return self.budget.used
 
     @property
     def solution(self) -> np.ndarray | None:
@@ -169,36 +168,6 @@ class TrackedObjective:
         if self.best_feasible_x is not None:
             return self.best_feasible_x
         return self.best_x
-
-
-@dataclass
-class SolverResult:
-    """Outcome of one solver run, taken from the tracked objective."""
-
-    best_x: np.ndarray
-    best_f: float
-    best_feasible_x: np.ndarray | None
-    best_feasible_power: float
-    evals_used: int
-    improvements: list[tuple[int, float]]
-
-    @property
-    def solution(self) -> np.ndarray:
-        """Returned point, preferring the best feasible one when available."""
-        if self.best_feasible_x is not None:
-            return self.best_feasible_x
-        return self.best_x
-
-
-def result_from(objective: TrackedObjective) -> SolverResult:
-    return SolverResult(
-        best_x=objective.best_x,
-        best_f=objective.best_f,
-        best_feasible_x=objective.best_feasible_x,
-        best_feasible_power=objective.best_feasible_power,
-        evals_used=objective.budget.used,
-        improvements=list(objective.improvements),
-    )
 
 
 def init_population(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .evo import TrackedObjective
-from .problem import PowerAllocationProblem, WsnConfig
+from .problem import PowerAllocationProblem, WsnConfig, evaluate_rows
 from .solvers import SOLVERS, solve
 from .stats import friedman_ranks, paired_rank_tests
 
@@ -167,23 +167,23 @@ def run_trial(
     objective = TrackedObjective(problem, config.max_evals)
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     rng = np.random.default_rng(seed)
-    result = solve(
-        algorithm, objective, rng, config.population_sizes[case.sensors]
-    )
-    solution = result.solution
-    margin = problem.constraint_margin(solution)
-    feasible = bool(margin <= 0.0 and np.all(solution >= 0.0))
+    solve(algorithm, objective, rng, config.population_sizes[case.sensors])
+    solution = objective.solution
+    # Scored by the row kernel directly, not through ``problem.batch``, so
+    # every batch row stays a budgeted evaluation.
+    _, feasible, power = evaluate_rows(problem.config, problem.fading, solution, [1])
+    saw_feasible = objective.best_feasible_x is not None
     return TrialRecord(
         case_id=case.case_id,
         algorithm=algorithm,
         trial=trial,
         seed=seed,
-        best_f=result.best_f,
+        best_f=objective.best_feasible_power if saw_feasible else objective.best_f,
         gains=np.asarray(solution, dtype=float),
-        power=float(problem.power(solution)),
-        feasible=feasible,
-        evals_used=result.evals_used,
-        trace=list(result.improvements),
+        power=float(power[0]),
+        feasible=bool(feasible[0]),
+        evals_used=objective.evals_used,
+        trace=list(objective.improvements),
     )
 
 

@@ -27,7 +27,6 @@ from .evo import (
     linear_pop_size_reduction,
     pick_distinct,
     reflect_into_bounds,
-    result_from,
     shrink_population,
 )
 
@@ -313,4 +312,4 @@ class MlshadeSpaSolver:
                     archive.pop(int(rng.integers(len(archive))))
                 objective.population_size = target
 
-        return result_from(objective)
+        return objective

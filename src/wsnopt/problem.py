@@ -139,11 +139,24 @@ def _deflection(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
     return config.signal_power * float(a @ y)
 
 
-def _deflection_diagonal(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
-    """Closed-form squared deflection for spatially white observation noise."""
-    a2 = (np.asarray(h, dtype=float) * np.asarray(g, dtype=float)) ** 2
-    terms = config.signal_power * a2 / (a2 * config.sigma_v2 + config.sigma_w2)
-    return float(terms.sum())
+def _q_of_deflection(s):
+    return q_function(0.5 * np.sqrt(np.maximum(s, 0.0)))
+
+
+def error_probabilities(config: WsnConfig, h: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Fusion error probability of each row of the gain stack ``G``.
+
+    White observation noise uses the closed-form squared deflection,
+    vectorized over rows; correlated noise factorizes each row's effective
+    covariance in turn.
+    """
+    if config.correlation == 0.0:
+        a2 = (G * h) ** 2
+        terms = config.signal_power * a2 / (a2 * config.sigma_v2 + config.sigma_w2)
+        s = terms.sum(axis=1)
+    else:
+        s = np.array([_deflection(config, h, g) for g in G])
+    return _q_of_deflection(s)
 
 
 def fusion_error_probability(
@@ -151,25 +164,20 @@ def fusion_error_probability(
 ) -> float:
     """Error probability of the fusion-center threshold rule.
 
-    ``method`` selects the computation path: "matrix" uses the covariance
-    factorization, "diagonal" the white-noise closed form (valid only when
-    ``correlation == 0``), and "auto" picks the diagonal path when it
-    applies.  Both paths agree to floating-point accuracy on white noise.
+    ``method`` selects the computation path: "auto" is the evaluation kernel
+    (``error_probabilities`` on a batch of one) and "matrix" always uses the
+    dense covariance factorization, the reference the kernel is checked
+    against.
 
     Raises ``numpy.linalg.LinAlgError`` when the effective covariance is
     not positive definite (a degenerate configuration).
     """
+    g = np.asarray(g, dtype=float)
     if method == "auto":
-        method = "diagonal" if config.correlation == 0.0 else "matrix"
-    if method == "diagonal":
-        if config.correlation != 0.0:
-            raise ValueError("diagonal path requires correlation == 0")
-        s = _deflection_diagonal(config, h, g)
-    elif method == "matrix":
-        s = _deflection(config, h, g)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return float(q_function(0.5 * math.sqrt(max(s, 0.0))))
+        return float(error_probabilities(config, h, g[None, :])[0])
+    if method == "matrix":
+        return float(_q_of_deflection(_deflection(config, h, g)))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def monte_carlo_error_rate(
@@ -215,10 +223,45 @@ def monte_carlo_error_rate(
     return 0.5 * (false_alarms + misses) / n_samples
 
 
+def staged_penalty(violations: np.ndarray) -> np.ndarray:
+    """Dynamic multi-stage penalty of each violation, elementwise.
+
+    A positive violation ``v`` costs ``10*v`` up to 0.1, ``100*v`` below 1,
+    ``100`` at 1 and ``300*v**2`` beyond; non-positive entries cost nothing.
+    """
+    v = np.maximum(violations, 0.0)
+    weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, 300.0))
+    return np.where(v > 0.0, weights * np.where(v < 1.0, v, v * v), 0.0)
+
+
+def _powers(G: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", G, G)
+
+
+def evaluate_rows(config: WsnConfig, h: np.ndarray, G: np.ndarray, iterations: np.ndarray):
+    """Penalized objective of each row of the gain stack ``G``.
+
+    Returns ``(values, feasible, powers)``: ``powers`` is the total power of
+    each row, ``feasible`` marks rows with no active violation, and
+    ``values`` adds the iteration-scaled penalty to the power of the other
+    rows.  Violations are the positive part of the error-probability margin
+    and of each negated gain.  Feasible rows have ``values == powers``
+    exactly.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    powers = _powers(G)
+    penalties = staged_penalty(error_probabilities(config, h, G) - config.epsilon)
+    if np.any(G < 0.0):
+        penalties = penalties + staged_penalty(-G).sum(axis=1)
+    feasible = penalties == 0.0
+    iterations = np.asarray(iterations, dtype=float)
+    values = np.where(feasible, powers, powers + iterations * penalties)
+    return values, feasible, powers
+
+
 def total_power(g: np.ndarray) -> float:
     """Total transmit power, the sum of squared gains."""
-    g = np.asarray(g, dtype=float)
-    return float(g @ g)
+    return float(_powers(np.atleast_2d(np.asarray(g, dtype=float)))[0])
 
 
 def constraint_margin(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
@@ -226,56 +269,26 @@ def constraint_margin(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
     return fusion_error_probability(config, h, g) - config.epsilon
 
 
-def violation_weight(x: float) -> float:
-    """Stage weight of one violation term: 10, 100, or 300 by magnitude."""
-    if x <= 0.1:
-        return 10.0
-    if x <= 1.0:
-        return 100.0
-    return 300.0
-
-
-def violation_exponent(x: float) -> float:
-    """Stage exponent of one violation term: linear below 1, squared above."""
-    return 1.0 if x < 1.0 else 2.0
-
-
-def _penalty_terms(violations: np.ndarray) -> float:
-    """Sum of staged penalty terms over the positive violations only."""
-    v = violations[violations > 0.0]
-    if v.size == 0:
-        return 0.0
-    weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, 300.0))
-    powers = np.where(v < 1.0, v, v * v)
-    return float(np.sum(weights * powers))
-
-
 def penalized_objective(
     config: WsnConfig, h: np.ndarray, g: np.ndarray, iteration: int
 ) -> float:
     """Total power plus the iteration-scaled penalty for constraint violations.
 
-    Violations comprise the positive part of the error-probability margin
-    and the positive part of each negated gain.  On feasible points the
-    result equals ``total_power(g)`` exactly.
+    A batch of one through ``evaluate_rows``; on feasible points the result
+    equals ``total_power(g)`` exactly.
     """
     if iteration < 1:
         raise ValueError("iteration must be at least 1")
-    g = np.asarray(g, dtype=float)
-    violations = np.concatenate(([constraint_margin(config, h, g)], -g))
-    penalty = _penalty_terms(violations)
-    if penalty == 0.0:
-        return total_power(g)
-    return total_power(g) + iteration * penalty
+    values, _, _ = evaluate_rows(config, h, g, [iteration])
+    return float(values[0])
 
 
 class PowerAllocationProblem:
     """A config paired with one channel draw, evaluated as a penalized objective.
 
-    Instances expose scalar and batch evaluation with an explicit penalty
-    iteration, so the surrounding budget tracker can scale the penalty as
-    the search progresses.  For white observation noise the batch path is
-    fully vectorized.
+    Instances expose batch evaluation with an explicit penalty iteration, so
+    the surrounding budget tracker can scale the penalty as the search
+    progresses.
     """
 
     def __init__(
@@ -303,38 +316,6 @@ class PowerAllocationProblem:
     def constraint_margin(self, g: np.ndarray) -> float:
         return constraint_margin(self.config, self.fading, g)
 
-    def value(self, g: np.ndarray, iteration: int) -> float:
-        return penalized_objective(self.config, self.fading, g, iteration)
-
     def batch(self, G: np.ndarray, iterations: np.ndarray):
-        """Evaluate a stack of gain vectors.
-
-        Returns ``(values, feasible, powers)`` where ``feasible`` marks rows
-        with no active violation term and ``powers`` holds the raw total
-        power of each row.
-        """
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        iterations = np.asarray(iterations, dtype=float)
-        cfg = self.config
-        powers = np.einsum("ij,ij->i", G, G)
-
-        if cfg.correlation == 0.0:
-            a2 = (G * self.fading) ** 2
-            terms = cfg.signal_power * a2 / (a2 * cfg.sigma_v2 + cfg.sigma_w2)
-            pe = q_function(0.5 * np.sqrt(terms.sum(axis=1)))
-            margins = pe - cfg.epsilon
-        else:
-            margins = np.array([self.constraint_margin(row) for row in G])
-
-        q0 = np.maximum(margins, 0.0)
-        w0 = np.where(q0 <= 0.1, 10.0, np.where(q0 <= 1.0, 100.0, 300.0))
-        p0 = np.where(q0 < 1.0, q0, q0 * q0)
-        penalties = np.where(q0 > 0.0, w0 * p0, 0.0)
-        if np.any(G < 0.0):
-            neg = np.maximum(-G, 0.0)
-            wn = np.where(neg <= 0.1, 10.0, np.where(neg <= 1.0, 100.0, 300.0))
-            pn = np.where(neg < 1.0, neg, neg * neg)
-            penalties = penalties + np.sum(np.where(neg > 0.0, wn * pn, 0.0), axis=1)
-        feasible = penalties == 0.0
-        values = np.where(feasible, powers, powers + iterations * penalties)
-        return values, feasible, powers
+        """Evaluate a stack of gain vectors; see ``evaluate_rows``."""
+        return evaluate_rows(self.config, self.fading, G, iterations)

@@ -1,8 +1,9 @@
 """Named, ready-to-run optimizer configurations.
 
 Every entry takes the same three arguments (tracked objective, random
-generator, population size) and returns a solver result, so the
-experiment harness can treat algorithms as interchangeable.  The two
+generator, population size) and returns that tracked objective, which holds
+the best points and the convergence history, so the experiment harness can
+treat algorithms as interchangeable.  The two
 decomposition-based entries spend part of the budget on structure probes
 and seed their context with the best point those probes happened to see.
 """
@@ -14,7 +15,7 @@ import numpy as np
 from .cc import ContributionScheduler, RoundRobinScheduler, cc_optimize
 from .cmaes import make_cmaes_subsolver
 from .eade import EadeSolver
-from .evo import BudgetExhausted, SolverResult, TrackedObjective, result_from
+from .evo import BudgetExhausted, TrackedObjective
 from .grouping import dgsc_group, rdg3_group
 from .mlshade import MlshadeSpaSolver
 from .sansde import make_sansde_subsolver
@@ -22,26 +23,26 @@ from .sansde import make_sansde_subsolver
 
 def solve_eade(
     objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> SolverResult:
+) -> TrackedObjective:
     return EadeSolver().run(objective, rng, population_size)
 
 
 def solve_mlshade_spa(
     objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> SolverResult:
+) -> TrackedObjective:
     return MlshadeSpaSolver().run(objective, rng, population_size)
 
 
 def solve_cbcc_rdg3(
     objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> SolverResult:
+) -> TrackedObjective:
     """Capped recursive grouping, then contribution-guided coevolution."""
     try:
         decomposition = rdg3_group(objective, size_cap=50, separable_pack=100)
     except BudgetExhausted:
-        return result_from(objective)
+        return objective
     if objective.remaining <= 0:
-        return result_from(objective)
+        return objective
     return cc_optimize(
         objective,
         decomposition.groups,
@@ -55,14 +56,14 @@ def solve_cbcc_rdg3(
 
 def solve_dgsc_decc(
     objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> SolverResult:
+) -> TrackedObjective:
     """Spectral decomposition, then round-robin coevolution with adaptive DE."""
     try:
         decomposition = dgsc_group(objective, rng=rng)
     except BudgetExhausted:
-        return result_from(objective)
+        return objective
     if objective.remaining <= 0:
-        return result_from(objective)
+        return objective
     return cc_optimize(
         objective,
         decomposition.groups,
@@ -95,5 +96,5 @@ def solve(
     objective: TrackedObjective,
     rng: np.random.Generator,
     population_size: int,
-) -> SolverResult:
+) -> TrackedObjective:
     return get_solver(name)(objective, rng, population_size)

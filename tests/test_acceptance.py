@@ -136,9 +136,7 @@ def test_analytic_error_probability_agrees_with_simulation():
             direct = fusion_error_probability(
                 config, problem.fading, gains, method="matrix"
             )
-            closed = fusion_error_probability(
-                config, problem.fading, gains, method="diagonal"
-            )
+            closed = fusion_error_probability(config, problem.fading, gains)
             assert abs(direct - closed) <= 1e-10
     assert time.monotonic() - start < 120.0
 

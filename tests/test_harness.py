@@ -155,6 +155,18 @@ class TestTrialRecord:
         assert values[-1] == record.best_f
         assert record.evals_used == config.max_evals
 
+    @pytest.mark.parametrize("algorithm", ["eade", "mlshade-spa", "cbcc-rdg3", "dgsc-decc"])
+    def test_best_is_reported_solution_power(self, tmp_path, algorithm):
+        # A trial sees a feasible point exactly when it reports a feasible
+        # solution, and then its best must be that solution's power.
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        case = config.cases()[0]
+        records = [run_trial(config, case, algorithm, trial) for trial in range(3)]
+        assert any(r.feasible for r in records)
+        for record in records:
+            if record.feasible:
+                assert record.best_f == record.power
+
     def test_feasible_flag_matches_stored_vector(self, tmp_path):
         from wsnopt.problem import PowerAllocationProblem
 

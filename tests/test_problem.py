@@ -20,8 +20,6 @@ from wsnopt.problem import (
     q_function,
     sample_fading,
     total_power,
-    violation_exponent,
-    violation_weight,
 )
 
 
@@ -155,21 +153,22 @@ class TestFusionErrorProbability:
         h = sample_fading(cfg)
         assert fusion_error_probability(cfg, h, np.zeros(8)) == pytest.approx(0.5)
 
-    def test_matrix_and_diagonal_paths_agree(self):
+    def test_default_and_matrix_paths_agree(self):
         rng = np.random.default_rng(5)
         for ell in (1, 4, 17, 60):
             cfg = WsnConfig(num_sensors=ell, correlation=0.0, fading_seed=ell)
             h = sample_fading(cfg)
             for _ in range(5):
                 g = rng.uniform(0.0, 15.0, size=ell)
-                pd = fusion_error_probability(cfg, h, g, method="diagonal")
+                pd = fusion_error_probability(cfg, h, g)
                 pm = fusion_error_probability(cfg, h, g, method="matrix")
                 assert abs(pd - pm) < 1e-10
 
-    def test_diagonal_path_rejected_for_correlated_noise(self):
+    def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)
-        with pytest.raises(ValueError):
-            fusion_error_probability(cfg, np.ones(3), np.ones(3), method="diagonal")
+        for method in ("diagonal", "bogus"):
+            with pytest.raises(ValueError):
+                fusion_error_probability(cfg, np.ones(3), np.ones(3), method=method)
 
     def test_monotone_in_gains_for_white_noise(self):
         rng = np.random.default_rng(9)
@@ -230,13 +229,23 @@ class TestPenalty:
         assert constraint_margin(cfg, h, np.full(5, 10.0)) < 0.0
 
     def test_stage_boundaries(self):
-        assert violation_weight(0.05) == 10.0
-        assert violation_weight(0.1) == 10.0
-        assert violation_weight(0.100001) == 100.0
-        assert violation_weight(1.0) == 100.0
-        assert violation_weight(1.5) == 300.0
-        assert violation_exponent(0.999) == 1.0
-        assert violation_exponent(1.0) == 2.0
+        # Feasible in error probability; the only violation is one gain at -v.
+        cfg = WsnConfig(num_sensors=3, epsilon=0.1, fading_seed=1)
+        h = sample_fading(cfg)
+        stages = [
+            (0.05, 10.0 * 0.05),
+            (0.1, 10.0 * 0.1),
+            (0.100001, 100.0 * 0.100001),
+            (0.999, 100.0 * 0.999),
+            (1.0, 100.0),
+            (1.5, 300.0 * 1.5**2),
+        ]
+        for v, penalty in stages:
+            g = np.array([8.0, 8.0, -v])
+            assert constraint_margin(cfg, h, g) < 0.0
+            for iteration in (1, 3):
+                expected = total_power(g) + iteration * penalty
+                assert penalized_objective(cfg, h, g, iteration) == expected
 
     def test_zero_gain_penalty_hand_value(self):
         # At the origin the power is zero and the only violation is the
@@ -285,8 +294,8 @@ class TestProblemBatch:
         iters = np.arange(1, 10, dtype=float)
         values, feasible, powers = prob.batch(G, iters)
         for k in range(9):
-            assert values[k] == pytest.approx(prob.value(G[k], int(iters[k])), rel=1e-12)
-            assert powers[k] == pytest.approx(total_power(G[k]))
+            assert values[k] == penalized_objective(cfg, prob.fading, G[k], int(iters[k]))
+            assert powers[k] == total_power(G[k])
             is_feasible = prob.constraint_margin(G[k]) <= 0.0 and np.all(G[k] >= 0.0)
             assert feasible[k] == is_feasible
 
