@@ -5,7 +5,9 @@ rank-one plus rank-mu covariance updates.  Candidates are reflected into
 the box before evaluation and the update uses the reflected positions.
 The eigendecomposition is refreshed lazily on an evaluation-count
 schedule.  Numerical breakdown (non-finite state or a non-positive
-covariance spectrum) triggers a logged reset to the isotropic start.
+covariance spectrum) resets the search to the isotropic start; each reset
+is counted in ``CmaesSubsolver.resets``, which the benchmark's
+``cmaes.resets`` metric reads.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ import numpy as np
 from .evo import (
     TrackedObjective,
     binomial_crossover,
-    de_rand_1_bin,
     init_population,
+    pick_distinct,
     reflect_into_bounds,
 )
 
@@ -38,15 +38,15 @@ class CrossoverRatePool:
         self.successes = np.zeros(k)
         self.failures = np.zeros(k)
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, float]:
-        idx = int(rng.choice(len(self.values), p=self.probabilities))
-        return idx, self.values[idx]
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Pool indices and their rates for ``n`` trials."""
+        idx = rng.choice(len(self.values), size=n, p=self.probabilities)
+        return idx, np.asarray(self.values)[idx]
 
-    def record(self, index: int, success: bool):
-        if success:
-            self.successes[index] += 1.0
-        else:
-            self.failures[index] += 1.0
+    def record(self, indices: np.ndarray, success: np.ndarray):
+        k = len(self.values)
+        self.successes += np.bincount(indices[success], minlength=k)
+        self.failures += np.bincount(indices[~success], minlength=k)
 
     def refresh(self):
         tried = (self.successes + self.failures) > 0.0
@@ -66,33 +66,29 @@ class CrossoverRatePool:
 def eade_mutation(
     sorted_positions: np.ndarray,
     n_slice: int,
+    n: int,
     rng: np.random.Generator,
     f_top: float | None = None,
     f_bottom: float | None = None,
 ) -> np.ndarray:
-    """Donor built from one top-slice, one middle, and one bottom-slice member.
+    """``n`` donors, each from one top-slice, one middle and one bottom-slice member.
 
     ``sorted_positions`` must be ordered best to worst.  The slices are the
-    first and last ``n_slice`` rows; the donor is the middle member pulled
-    toward the top one and pushed away from the bottom one by uniform random
+    first and last ``n_slice`` rows; each donor is its middle member pulled
+    toward its top one and pushed away from its bottom one by uniform random
     weights (or the given ``f_top`` / ``f_bottom``).
     """
     n_pop = len(sorted_positions)
     if n_slice < 1 or n_pop - 2 * n_slice < 1:
         raise ValueError("rank slices are empty for this population size")
-    top = rng.integers(n_slice)
-    mid = rng.integers(n_slice, n_pop - n_slice)
-    bottom = rng.integers(n_pop - n_slice, n_pop)
+    top = sorted_positions[rng.integers(n_slice, size=n)]
+    mid = sorted_positions[rng.integers(n_slice, n_pop - n_slice, size=n)]
+    bottom = sorted_positions[rng.integers(n_pop - n_slice, n_pop, size=n)]
     if f_top is None:
-        f_top = rng.random()
+        f_top = rng.random((n, 1))
     if f_bottom is None:
-        f_bottom = rng.random()
-    x_top, x_mid, x_bottom = (
-        sorted_positions[top],
-        sorted_positions[mid],
-        sorted_positions[bottom],
-    )
-    return x_mid + f_top * (x_top - x_mid) + f_bottom * (x_mid - x_bottom)
+        f_bottom = rng.random((n, 1))
+    return mid + f_top * (top - mid) + f_bottom * (mid - bottom)
 
 
 class EadeSolver:
@@ -146,27 +142,22 @@ class EadeSolver:
             if generation > 1 and (generation - 1) % period == 0:
                 pool.refresh()
             n = min(n_pop, objective.remaining)
-            order = np.argsort(fit, kind="stable")
-            sorted_pop = pop[order]
-            trials = np.empty((n, objective.dimension))
-            drawn = np.empty(n, dtype=int)
-            for i in range(n):
-                idx, cr = pool.draw(rng)
-                drawn[i] = idx
-                use_slice_donor = self.mix_probability >= 1.0 or (
-                    0.0 < self.mix_probability and rng.random() < self.mix_probability
-                )
-                if use_slice_donor:
-                    donor = eade_mutation(sorted_pop, n_slice, rng)
-                    trial = binomial_crossover(pop[i], donor, cr, rng)
-                else:
-                    f_weight = rng.uniform(self.f_low, self.f_high)
-                    trial = de_rand_1_bin(pop, i, f_weight, cr, rng)
-                trials[i] = reflect_into_bounds(trial, bounds)
+            drawn, cr = pool.draw(n, rng)
+            slice_rows = rng.random(n) < self.mix_probability
+            rand_rows = ~slice_rows
+            donors = np.empty((n, objective.dimension))
+            donors[slice_rows] = eade_mutation(
+                pop[np.argsort(fit, kind="stable")], n_slice, int(slice_rows.sum()), rng
+            )
+            r1, r2, r3 = pick_distinct(n, (n_pop,) * 3, rng)[rand_rows].T
+            f_weight = rng.uniform(self.f_low, self.f_high, size=(len(r1), 1))
+            donors[rand_rows] = pop[r1] + f_weight * (pop[r2] - pop[r3])
+            trials = reflect_into_bounds(
+                binomial_crossover(pop[:n], donors, cr, rng), bounds
+            )
             values = objective.evaluate_batch(trials)
             better = values < fit[:n]
-            for i in range(n):
-                pool.record(drawn[i], bool(better[i]))
+            pool.record(drawn, better)
             pop[:n][better] = trials[better]
             fit[:n][better] = values[better]
         return objective

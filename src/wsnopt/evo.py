@@ -3,9 +3,9 @@
 Populations are plain ``(NP, D)`` arrays of positions with a parallel fitness
 vector, matching the numpy-first style of the rest of the package.  The
 pieces here are the ones every solver needs: bounded uniform initialization,
-the classic DE/rand/1/bin trial builder, reflection bound repair, linear
-population-size reduction, success-history parameter memory, and a budget
-tracker that owns the convergence history.
+whole-population donor-index draws and binomial crossover, reflection bound
+repair, linear population-size reduction, success-history parameter memory,
+and a budget tracker that owns the convergence history.
 """
 
 from __future__ import annotations
@@ -179,38 +179,35 @@ def init_population(
     return rng.uniform(bounds.lower, bounds.upper, size=(n_pop, dimension))
 
 
-def pick_distinct(
-    n_pop: int, exclude: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices drawn without replacement from ``range(n_pop)`` minus ``exclude``."""
-    raw = rng.choice(n_pop - 1, size=count, replace=False)
-    return np.where(raw >= exclude, raw + 1, raw)
+def pick_distinct(n_rows: int, pools, rng: np.random.Generator) -> np.ndarray:
+    """One ``(n_rows, len(pools))`` draw of donor indices.
+
+    Column ``k`` is uniform over ``range(pools[k])`` minus the row's own index
+    and the row's earlier columns, so each row holds distinct indices that
+    differ from the row.  ``pools`` must not decrease, ``pools[0]`` must be
+    at least ``n_rows``, and ``pools[k]`` must exceed ``k + 1``.
+    """
+    taken = np.arange(n_rows)[:, None]
+    for size in pools:
+        raw = rng.integers(size - taken.shape[1], size=n_rows)
+        # Step over every excluded index at or below the draw, smallest first.
+        for excluded in np.sort(taken, axis=1).T:
+            raw += raw >= excluded
+        taken = np.column_stack([taken, raw])
+    return taken[:, 1:]
 
 
 def binomial_crossover(
-    parent: np.ndarray, donor: np.ndarray, cr: float, rng: np.random.Generator
+    parents: np.ndarray, donors: np.ndarray, cr, rng: np.random.Generator
 ) -> np.ndarray:
-    """Binomial crossover with one forced donor coordinate."""
-    d = len(parent)
-    mask = rng.random(d) < cr
-    mask[rng.integers(d)] = True
-    return np.where(mask, donor, parent)
+    """Row-wise binomial crossover of ``(n, d)`` stacks at per-row rates ``cr``.
 
-
-def de_rand_1_bin(
-    population: np.ndarray,
-    target_index: int,
-    f_weight: float,
-    cr: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Classic DE/rand/1 donor with binomial crossover against the target."""
-    n_pop = len(population)
-    if n_pop < 4:
-        raise ValueError("DE/rand/1 needs at least 4 members")
-    r1, r2, r3 = pick_distinct(n_pop, target_index, 3, rng)
-    donor = population[r1] + f_weight * (population[r2] - population[r3])
-    return binomial_crossover(population[target_index], donor, cr, rng)
+    Each row also takes one forced coordinate, drawn uniformly, from its donor.
+    """
+    n, d = parents.shape
+    mask = rng.random((n, d)) < np.asarray(cr, dtype=float)[..., None]
+    mask[np.arange(n), rng.integers(d, size=n)] = True
+    return np.where(mask, donors, parents)
 
 
 def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -280,12 +277,17 @@ class SuccessHistory:
         self.cr_mean[self.cursor] = np.sum(w * cr_values)
         self.cursor = (self.cursor + 1) % len(self.f_mean)
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        """Draw an (F, CR) pair around a uniformly chosen memory slot."""
-        slot = rng.integers(len(self.f_mean))
-        f = 0.0
-        while f <= 0.0:
-            f = self.f_mean[slot] + 0.1 * rng.standard_cauchy()
-        f = min(f, 1.0)
-        cr = float(np.clip(rng.normal(self.cr_mean[slot], 0.1), 0.0, 1.0))
-        return float(f), cr
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` (F, CR) pairs, each around a uniformly chosen memory slot.
+
+        F is Cauchy around the slot mean, redrawn while non-positive and
+        capped at 1; CR is normal around the slot mean, clipped to [0, 1].
+        """
+        slot = rng.integers(len(self.f_mean), size=n)
+        f = np.zeros(n)
+        redraw = np.ones(n, dtype=bool)
+        while redraw.any():
+            f[redraw] = self.f_mean[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.sum())
+            redraw = f <= 0.0
+        cr = np.clip(rng.normal(self.cr_mean[slot], 0.1), 0.0, 1.0)
+        return np.minimum(f, 1.0), cr

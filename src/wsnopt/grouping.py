@@ -43,6 +43,12 @@ class InteractionProbe:
         delta = 0.5 * bounds.width if self.delta is None else float(self.delta)
         return base, delta
 
+    def detection_threshold(self, f_values, dimension: int):
+        """The fixed ``threshold`` if set, else the adaptive one for ``f_values``."""
+        if self.threshold is not None:
+            return self.threshold
+        return _adaptive_threshold(f_values, dimension)
+
 
 @dataclass
 class GroupingResult:
@@ -62,11 +68,15 @@ class GroupingResult:
             raise AssertionError("groups do not partition the variable indices")
 
 
-def _adaptive_threshold(f_values, dimension: int) -> float:
-    """Detection threshold scaled by dimension and function magnitude."""
+def _adaptive_threshold(f_values, dimension: int):
+    """Detection threshold scaled by dimension and function magnitude.
+
+    ``f_values`` holds the probe values of one test, each a scalar or an
+    array with one entry per test; the result has the same shape.
+    """
     alpha = 1e-12 * dimension
-    smallest = min(abs(float(v)) for v in f_values)
-    return alpha * max(smallest, 1.0)
+    smallest = np.abs(np.broadcast_arrays(*f_values)).min(axis=0)
+    return alpha * np.maximum(smallest, 1.0)
 
 
 def dg_interaction(
@@ -94,11 +104,7 @@ def dg_interaction(
     x_ij[j] += delta
     f0, fi, fj, fij = objective.probe_batch(np.stack([base, x_i, x_j, x_ij]))
     lam = abs((fi - f0) - (fij - fj))
-    threshold = (
-        probe.threshold
-        if probe.threshold is not None
-        else _adaptive_threshold((f0, fi, fj, fij), objective.dimension)
-    )
+    threshold = probe.detection_threshold((f0, fi, fj, fij), objective.dimension)
     return bool(lam > threshold), float(lam)
 
 
@@ -132,26 +138,21 @@ class _SetTester:
         x12[nucleus] = self.high
         f2, f12 = self.objective.probe_batch(np.stack([x2, x12]))
         lam = abs((f_nucleus - self.f_base) - (f12 - f2))
-        threshold = (
-            self.probe.threshold
-            if self.probe.threshold is not None
-            else _adaptive_threshold(
-                (self.f_base, f_nucleus, f2, f12), self.objective.dimension
-            )
+        threshold = self.probe.detection_threshold(
+            (self.f_base, f_nucleus, f2, f12), self.objective.dimension
         )
-        return lam > threshold
+        return bool(lam > threshold)
 
 
 def _recursive_grouping(
     objective: TrackedObjective,
     probe: InteractionProbe,
-    size_cap: int | None,
+    cap: int,
 ) -> tuple[list[list[int]], list[int], int]:
-    """Core recursive differential grouping loop shared by rdg and rdg3."""
+    """Core recursive differential grouping loop of rdg3."""
     used_before = objective.budget.used
     dim = objective.dimension
     tester = _SetTester(objective, probe)
-    cap = dim if size_cap is None else int(size_cap)
 
     remaining = list(range(dim))
     merged_groups: list[list[int]] = []
@@ -191,22 +192,6 @@ def _recursive_grouping(
     return merged_groups, separable, objective.budget.used - used_before
 
 
-def rdg_group(
-    objective: TrackedObjective, probe: InteractionProbe | None = None
-) -> GroupingResult:
-    """Recursive differential grouping with no size cap.
-
-    Non-separable variables end up in merged groups closed under detected
-    interaction; separable variables are reported individually and returned
-    as singleton groups.
-    """
-    probe = probe or InteractionProbe()
-    merged, separable, evals = _recursive_grouping(objective, probe, None)
-    groups = [np.array(g, dtype=int) for g in merged]
-    groups.extend(np.array([v], dtype=int) for v in separable)
-    return GroupingResult(groups, np.array(separable, dtype=int), evals)
-
-
 def _pack(indices: list[int], pack_size: int) -> list[np.ndarray]:
     return [
         np.array(indices[k : k + pack_size], dtype=int)
@@ -226,16 +211,22 @@ def rdg3_group(
     ``size_cap``, deliberately breaking long interaction chains so that
     downstream subsolvers face bounded subproblem sizes.  Separable
     variables are packed, in index order, into groups of ``separable_pack``.
-    With ``size_cap >= dimension`` the merged groups coincide with plain
-    recursive grouping.
+    With ``size_cap >= dimension`` and ``separable_pack=1`` this is plain
+    recursive differential grouping: merged groups closed under detected
+    interaction, and every separable variable on its own.
     """
     if size_cap < 1 or separable_pack < 1:
         raise ValueError("size_cap and separable_pack must be positive")
     probe = probe or InteractionProbe()
-    merged, separable, evals = _recursive_grouping(objective, probe, size_cap)
+    merged, separable, evals = _recursive_grouping(objective, probe, int(size_cap))
     groups = [np.array(g, dtype=int) for g in merged]
     groups.extend(_pack(separable, separable_pack))
     return GroupingResult(groups, np.array(separable, dtype=int), evals)
+
+
+def _flat_pair(i, j, dim: int):
+    """Row-major index of the pair ``i < j`` among all pairs of ``range(dim)``."""
+    return i * (2 * dim - i - 1) // 2 + (j - i - 1)
 
 
 def similarity_matrix(
@@ -270,49 +261,35 @@ def similarity_matrix(
     cap = int(probe_budget_fraction * objective.budget.max_evals) - (dim + 1)
     target = min(int(round(sample_fraction * all_pairs)), max(cap, 0), objective.remaining)
 
-    if target >= all_pairs:
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    else:
-        chosen: set[tuple[int, int]] = set()
+    rows, cols = np.triu_indices(dim, k=1)
+    if target < all_pairs:
+        chosen = np.empty(0, dtype=np.int64)
         # Connectivity floor: a few random partners for every variable.
         if target >= min_partners * dim // 2:
+            partners = []
             for i in range(dim):
-                partners = rng.choice(dim - 1, size=min(min_partners, dim - 1), replace=False)
-                for p in partners:
-                    j = int(p) + (int(p) >= i)
-                    chosen.add((min(i, j), max(i, j)))
+                p = rng.choice(dim - 1, size=min(min_partners, dim - 1), replace=False)
+                j = p + (p >= i)
+                partners.append(_flat_pair(np.minimum(i, j), np.maximum(i, j), dim))
+            chosen = np.unique(np.concatenate(partners))
+        # Then random pairs, in the order drawn, until the target is met.
         flat = rng.permutation(all_pairs)
-        rows = (np.floor((2 * dim - 1 - np.sqrt((2 * dim - 1) ** 2 - 8 * flat)) / 2)).astype(int)
-        offs = flat - rows * (2 * dim - rows - 1) // 2
-        cols = rows + 1 + offs
-        for r, c in zip(rows, cols):
-            if len(chosen) >= target:
-                break
-            r, c = int(r), int(c)
-            if 0 <= r < c < dim:
-                chosen.add((r, c))
-        pairs = sorted(chosen)[:target]
+        fresh = flat[~np.isin(flat, chosen)][: max(target - len(chosen), 0)]
+        chosen = np.sort(np.concatenate([chosen, fresh]))[:target]
+        rows, cols = rows[chosen], cols[chosen]
 
     weights = np.zeros((dim, dim))
     block = 4096
-    for start in range(0, len(pairs), block):
-        chunk = pairs[start : start + block]
-        points = np.repeat(base[None, :], len(chunk), axis=0)
-        for k, (i, j) in enumerate(chunk):
-            points[k, i] += delta
-            points[k, j] += delta
+    for start in range(0, len(rows), block):
+        i, j = rows[start : start + block], cols[start : start + block]
+        points = np.repeat(base[None, :], len(i), axis=0)
+        k = np.arange(len(i))
+        points[k, i] += delta
+        points[k, j] += delta
         f_pair = objective.probe_batch(points)
-        for k, (i, j) in enumerate(chunk):
-            lam = abs((f_single[i] - f_base) - (f_pair[k] - f_single[j]))
-            threshold = (
-                probe.threshold
-                if probe.threshold is not None
-                else _adaptive_threshold(
-                    (f_base, f_single[i], f_single[j], f_pair[k]), dim
-                )
-            )
-            if lam > threshold:
-                weights[i, j] = weights[j, i] = lam
+        lam = np.abs((f_single[i] - f_base) - (f_pair - f_single[j]))
+        hit = lam > probe.detection_threshold((f_base, f_single[i], f_single[j], f_pair), dim)
+        weights[i[hit], j[hit]] = weights[j[hit], i[hit]] = lam[hit]
     return weights
 
 

@@ -146,91 +146,72 @@ class MlshadeSpaSolver:
         return floor + (1.0 - k * floor) * (rates / total)
 
     # ---- strategy generations ------------------------------------------
+    #
+    # Each strategy builds its trial stack on the ``group`` columns of the
+    # population and returns it with its learning step, which ``_generation``
+    # calls with the improvement mask and gains before selection replaces
+    # any parent.
 
-    def _masked_trial(self, parent, donor, cr, group, rng):
-        sub = binomial_crossover(parent[group], donor[group], cr, rng)
-        trial = parent.copy()
-        trial[group] = sub
-        return trial
-
-    def _history_de_generation(self, pop, fit, group, objective, rng, state):
+    def _history_de_trials(self, pop, fit, group, rng, state):
         history, archive = state
         n_pop = len(pop)
-        order = np.argsort(fit, kind="stable")
+        sub = pop[:, group]
+        f_scale, cr = history.sample(n_pop, rng)
         top = max(1, int(self.p_best_fraction * n_pop))
-        trials = np.empty_like(pop)
-        f_used = np.empty(n_pop)
-        cr_used = np.empty(n_pop)
-        for i in range(n_pop):
-            f_scale, cr = history.sample(rng)
-            pbest = pop[order[rng.integers(top)]]
-            r1 = int(pick_distinct(n_pop, i, 1, rng)[0])
-            while True:
-                r2 = int(rng.integers(n_pop + len(archive)))
-                if r2 != i and r2 != r1:
-                    break
-            other = pop[r2] if r2 < n_pop else archive[r2 - n_pop]
-            donor = pop[i] + f_scale * (pbest - pop[i]) + f_scale * (pop[r1] - other)
-            trials[i] = self._masked_trial(pop[i], donor, cr, group, rng)
-            f_used[i] = f_scale
-            cr_used[i] = cr
-        trials = reflect_into_bounds(trials, objective.bounds)
-        values = objective.evaluate_batch(trials)
-        improved = values < fit
-        gained = float(np.sum(np.maximum(fit - values, 0.0)))
-        if improved.any():
+        pbest = sub[np.argsort(fit, kind="stable")[rng.integers(top, size=n_pop)]]
+        union = np.vstack([pop, *archive])[:, group]
+        r1, r2 = pick_distinct(n_pop, (n_pop, len(union)), rng).T
+        f = f_scale[:, None]
+        donors = sub + f * (pbest - sub) + f * (sub[r1] - union[r2])
+
+        def learn(improved, gains):
             for i in np.flatnonzero(improved):
                 if len(archive) >= n_pop:
                     archive[rng.integers(len(archive))] = pop[i].copy()
                 else:
                     archive.append(pop[i].copy())
-            history.update(
-                f_used[improved], cr_used[improved], (fit - values)[improved]
-            )
-            pop[improved] = trials[improved]
-            fit[improved] = values[improved]
-        return gained
+            history.update(f_scale[improved], cr[improved], gains[improved])
 
-    def _slice_de_generation(self, pop, fit, group, objective, rng, state):
-        pool = state
+        return binomial_crossover(sub, donors, cr, rng), learn
+
+    def _slice_de_trials(self, pop, fit, group, rng, pool):
         n_pop = len(pop)
         n_slice = max(1, int(0.1 * n_pop))
-        order = np.argsort(fit, kind="stable")
-        ranked = pop[order]
-        trials = np.empty_like(pop)
-        drawn = np.empty(n_pop, dtype=int)
-        for i in range(n_pop):
-            idx, cr = pool.draw(rng)
-            donor = eade_mutation(ranked, n_slice, rng)
-            trials[i] = self._masked_trial(pop[i], donor, cr, group, rng)
-            drawn[i] = idx
-        trials = reflect_into_bounds(trials, objective.bounds)
-        values = objective.evaluate_batch(trials)
-        improved = values < fit
-        gained = float(np.sum(np.maximum(fit - values, 0.0)))
-        for i in range(n_pop):
-            pool.record(drawn[i], bool(improved[i]))
-        pop[improved] = trials[improved]
-        fit[improved] = values[improved]
-        return gained
+        ranked = pop[np.argsort(fit, kind="stable")][:, group]
+        drawn, cr = pool.draw(n_pop, rng)
+        donors = eade_mutation(ranked, n_slice, n_pop, rng)
+        trials = binomial_crossover(pop[:, group], donors, cr, rng)
+        return trials, lambda improved, gains: pool.record(drawn, improved)
 
-    def _triangular_de_generation(self, pop, fit, group, objective, rng, state):
+    def _triangular_de_trials(self, pop, fit, group, rng, state):
         n_pop = len(pop)
-        trials = np.empty_like(pop)
-        for i in range(n_pop):
-            trio = rng.choice(n_pop, size=3, replace=False)
-            best, middle, worst = trio[np.argsort(fit[trio], kind="stable")]
-            center = (pop[best] + pop[middle] + pop[worst]) / 3.0
-            f_scale = rng.uniform(self.f_low, self.f_high)
-            donor = center + f_scale * (pop[best] - pop[worst])
-            trials[i] = self._masked_trial(pop[i], donor, self.triangular_cr, group, rng)
-        trials = reflect_into_bounds(trials, objective.bounds)
+        sub = pop[:, group]
+        # Three distinct members per row, the row's own member allowed.
+        trio = np.argsort(rng.random((n_pop, n_pop)), axis=1)[:, :3]
+        trio = np.take_along_axis(trio, np.argsort(fit[trio], axis=1, kind="stable"), axis=1)
+        best, middle, worst = sub[trio[:, 0]], sub[trio[:, 1]], sub[trio[:, 2]]
+        center = (best + middle + worst) / 3.0
+        f_scale = rng.uniform(self.f_low, self.f_high, size=(n_pop, 1))
+        donors = center + f_scale * (best - worst)
+        trials = binomial_crossover(sub, donors, self.triangular_cr, rng)
+        return trials, lambda improved, gains: None
+
+    def _generation(self, strategy, state, pop, fit, group, objective, rng) -> float:
+        """One generation of ``strategy`` on ``group``; returns the summed gain.
+
+        Coordinates outside ``group`` keep their parent values, so only the
+        group needs reflecting.
+        """
+        sub_trials, learn = strategy(pop, fit, group, rng, state)
+        trials = pop.copy()
+        trials[:, group] = reflect_into_bounds(sub_trials, objective.bounds)
         values = objective.evaluate_batch(trials)
         improved = values < fit
-        gained = float(np.sum(np.maximum(fit - values, 0.0)))
+        gains = np.maximum(fit - values, 0.0)
+        learn(improved, gains)
         pop[improved] = trials[improved]
         fit[improved] = values[improved]
-        return gained
+        return float(gains.sum())
 
     # ---- main loop ------------------------------------------------------
 
@@ -258,9 +239,9 @@ class MlshadeSpaSolver:
         local_state = MmtsState(step=0.4 * bounds.width)
         n_groups = max(1, math.ceil(dim / self.group_size_target))
         strategies = (
-            (self._history_de_generation, (history, archive)),
-            (self._slice_de_generation, pool),
-            (self._triangular_de_generation, None),
+            (self._history_de_trials, (history, archive)),
+            (self._slice_de_trials, pool),
+            (self._triangular_de_trials, None),
         )
         rates = np.zeros(len(strategies))
 
@@ -274,7 +255,7 @@ class MlshadeSpaSolver:
 
             spent_total = 0
             slice_generations = 0
-            for s, (generation, state) in enumerate(strategies):
+            for s, (strategy, state) in enumerate(strategies):
                 spent = 0
                 gained = 0.0
                 cursor = 0
@@ -283,7 +264,9 @@ class MlshadeSpaSolver:
                 ):
                     group = partition[cursor % len(partition)]
                     cursor += 1
-                    gained += generation(pop, fit, group, objective, rng, state)
+                    gained += self._generation(
+                        strategy, state, pop, fit, group, objective, rng
+                    )
                     spent += n_pop
                     if s == 1:
                         slice_generations += 1

@@ -58,7 +58,7 @@ class SansdeSubsolver:
         self.generation = 0
         self._strategy_counts = np.zeros(4, dtype=int)  # ns1 nf1 ns2 nf2
         self._fscale_counts = np.zeros(4, dtype=int)
-        self._cr_successes: list[tuple[float, float]] = []
+        self._cr_successes: list[np.ndarray] = []  # (CR, gain) rows per step
 
     def _initialize(self, rng: np.random.Generator):
         bounds = self.view.bounds
@@ -73,13 +73,11 @@ class SansdeSubsolver:
             best = int(np.argmin(values))
             self.view.commit_if_better(self.positions[best], float(values[best]))
 
-    def _draw_scale(self, rng: np.random.Generator) -> tuple[float, bool]:
-        gaussian = rng.random() < self.p_gaussian_f
-        if gaussian:
-            raw = rng.normal(0.5, 0.3)
-        else:
-            raw = abs(rng.standard_cauchy())
-        return float(np.clip(abs(raw), 0.05, 2.0)), gaussian
+    def _draw_scales(self, n: int, rng: np.random.Generator):
+        """Scale factors from a Gaussian or a folded Cauchy, and which was used."""
+        gaussian = rng.random(n) < self.p_gaussian_f
+        raw = np.where(gaussian, rng.normal(0.5, 0.3, n), np.abs(rng.standard_cauchy(n)))
+        return np.clip(np.abs(raw), 0.05, 2.0), gaussian
 
     def step(self, rng: np.random.Generator) -> None:
         if self.positions is None:
@@ -88,44 +86,33 @@ class SansdeSubsolver:
         n = min(self.pop_size, self.view.remaining)
         if n <= 0:
             return
-        best_index = int(np.argmin(self.fitness))
-        trials = np.empty((n, self.view.dimension))
-        used_rand = np.empty(n, dtype=bool)
-        used_gaussian = np.empty(n, dtype=bool)
-        crs = np.empty(n)
-        for i in range(n):
-            scale, gaussian = self._draw_scale(rng)
-            cr = float(np.clip(rng.normal(self.cr_mean, 0.1), 0.0, 1.0))
-            rand_strategy = rng.random() < self.p_strategy
-            if rand_strategy:
-                a, b, c = pick_distinct(self.pop_size, i, 3, rng)
-                donor = self.positions[a] + scale * (
-                    self.positions[b] - self.positions[c]
-                )
-            else:
-                a, b = pick_distinct(self.pop_size, i, 2, rng)
-                donor = (
-                    self.positions[i]
-                    + scale * (self.positions[best_index] - self.positions[i])
-                    + scale * (self.positions[a] - self.positions[b])
-                )
-            trial = binomial_crossover(self.positions[i], donor, cr, rng)
-            trials[i] = reflect_into_bounds(trial, self.view.bounds)
-            used_rand[i] = rand_strategy
-            used_gaussian[i] = gaussian
-            crs[i] = cr
+        pop = self.positions
+        scale, used_gaussian = self._draw_scales(n, rng)
+        scale = scale[:, None]
+        crs = np.clip(rng.normal(self.cr_mean, 0.1, n), 0.0, 1.0)
+        used_rand = rng.random(n) < self.p_strategy
+        a, b, c = pick_distinct(n, (self.pop_size,) * 3, rng).T
+        # rand/1 adds F*(b - c) to member a; current-to-best/1 adds F*(a - b)
+        # to the row pulled toward the best member.
+        parents = pop[:n]
+        toward_best = parents + scale * (pop[np.argmin(self.fitness)] - parents)
+        rand = used_rand[:, None]
+        donors = np.where(rand, pop[a], toward_best) + scale * np.where(
+            rand, pop[b] - pop[c], pop[a] - pop[b]
+        )
+        trials = reflect_into_bounds(
+            binomial_crossover(parents, donors, crs, rng), self.view.bounds
+        )
 
         values = self.view.evaluate_batch(trials)
-        for i in range(n):
-            improved = values[i] < self.fitness[i]
-            s_slot = (0 if improved else 1) if used_rand[i] else (2 if improved else 3)
-            f_slot = (0 if improved else 1) if used_gaussian[i] else (2 if improved else 3)
-            self._strategy_counts[s_slot] += 1
-            self._fscale_counts[f_slot] += 1
-            if improved:
-                self._cr_successes.append((crs[i], float(self.fitness[i] - values[i])))
-                self.positions[i] = trials[i]
-                self.fitness[i] = values[i]
+        improved = values < self.fitness[:n]
+        self._strategy_counts += _outcome_counts(used_rand, improved)
+        self._fscale_counts += _outcome_counts(used_gaussian, improved)
+        if improved.any():
+            gains = self.fitness[:n] - values
+            self._cr_successes.append(np.column_stack([crs, gains])[improved])
+            parents[improved] = trials[improved]
+            self.fitness[:n][improved] = values[improved]
         best = int(np.argmin(values))
         self.view.commit_if_better(trials[best], float(values[best]))
 
@@ -137,9 +124,19 @@ class SansdeSubsolver:
             self._fscale_counts[:] = 0
         if self.generation % self.cr_update_period == 0:
             if self._cr_successes:
-                values_list, gains = zip(*self._cr_successes)
-                self.cr_mean = weighted_crossover_mean(values_list, gains)
+                successes = np.concatenate(self._cr_successes)
+                self.cr_mean = weighted_crossover_mean(successes[:, 0], successes[:, 1])
             self._cr_successes.clear()
+
+
+def _outcome_counts(first: np.ndarray, improved: np.ndarray) -> np.ndarray:
+    """Successes and failures of the first option, then of the second."""
+    return np.array([
+        np.sum(first & improved),
+        np.sum(first & ~improved),
+        np.sum(~first & improved),
+        np.sum(~first & ~improved),
+    ])
 
 
 def make_sansde_subsolver(view, rng=None, pop_size: int = 30):

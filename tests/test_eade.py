@@ -8,8 +8,9 @@ from wsnopt.evo import (
     Bounds,
     FunctionProblem,
     TrackedObjective,
-    de_rand_1_bin,
+    binomial_crossover,
     init_population,
+    pick_distinct,
     reflect_into_bounds,
 )
 
@@ -31,35 +32,32 @@ class TestCrossoverRatePool:
     def test_success_ratio_dominates_after_refresh(self):
         pool = CrossoverRatePool()
         for _ in range(10):
-            pool.record(0, False)
-            pool.record(1, True)
-            pool.record(2, False)
+            pool.record(np.array([0, 1, 2]), np.array([False, True, False]))
         pool.refresh()
         assert pool.probabilities[1] > 0.9
 
     def test_all_failures_fall_back_to_uniform(self):
         pool = CrossoverRatePool()
-        for idx in range(3):
-            pool.record(idx, False)
+        pool.record(np.arange(3), np.zeros(3, dtype=bool))
         pool.refresh()
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
 
     def test_counters_reset_on_refresh(self):
         pool = CrossoverRatePool()
-        pool.record(0, True)
+        pool.record(np.array([0]), np.array([True]))
         pool.refresh()
         assert pool.successes.sum() == 0.0 and pool.failures.sum() == 0.0
 
     def test_draw_returns_pool_values(self):
         pool = CrossoverRatePool((0.05, 0.5, 0.95))
         rng = np.random.default_rng(2)
-        seen = {pool.draw(rng)[1] for _ in range(100)}
-        assert seen == {0.05, 0.5, 0.95}
+        indices, rates = pool.draw(100, rng)
+        assert set(rates.tolist()) == {0.05, 0.5, 0.95}
+        np.testing.assert_array_equal(rates, np.array(pool.values)[indices])
 
     def test_untried_rates_can_recover_via_uniform_fallback(self):
         pool = CrossoverRatePool()
-        for _ in range(5):
-            pool.record(1, True)
+        pool.record(np.ones(5, dtype=int), np.ones(5, dtype=bool))
         pool.refresh()  # rate 1 takes all the mass
         pool.refresh()  # nothing recorded since: back to uniform
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
@@ -69,30 +67,30 @@ class TestEadeMutation:
     def test_hand_value_with_singleton_slices(self):
         sorted_pop = np.array([[1.0], [5.0], [9.0]])
         donor = eade_mutation(
-            sorted_pop, 1, np.random.default_rng(0), f_top=0.5, f_bottom=0.5
+            sorted_pop, 1, 4, np.random.default_rng(0), f_top=0.5, f_bottom=0.5
         )
-        assert donor[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(donor, 1.0)
 
     def test_zero_weights_return_middle_member(self):
         sorted_pop = np.array([[0.0], [3.0], [7.0]])
         donor = eade_mutation(
-            sorted_pop, 1, np.random.default_rng(1), f_top=0.0, f_bottom=0.0
+            sorted_pop, 1, 4, np.random.default_rng(1), f_top=0.0, f_bottom=0.0
         )
-        assert donor[0] == pytest.approx(3.0)
+        np.testing.assert_allclose(donor, 3.0)
 
     @pytest.mark.parametrize("n_pop,n_slice", [(3, 0), (4, 2), (2, 1)])
     def test_empty_slices_rejected(self, n_pop, n_slice):
         with pytest.raises(ValueError):
-            eade_mutation(np.zeros((n_pop, 2)), n_slice, np.random.default_rng(0))
+            eade_mutation(np.zeros((n_pop, 2)), n_slice, 1, np.random.default_rng(0))
 
     def test_sources_come_from_disjoint_slices(self):
         rng = np.random.default_rng(3)
         # Encode slice membership in the value so the donor reveals it.
         sorted_pop = np.array([[0.0], [0.0], [100.0], [100.0], [100.0], [100.0],
                                [100.0], [100.0], [1000.0], [1000.0]])
-        for _ in range(50):
-            donor = eade_mutation(sorted_pop, 2, rng, f_top=1.0, f_bottom=0.0)
-            assert donor[0] == pytest.approx(0.0)  # f_top=1 lands on the top slice
+        donors = eade_mutation(sorted_pop, 2, 50, rng, f_top=1.0, f_bottom=0.0)
+        assert donors.shape == (50, 1)
+        np.testing.assert_allclose(donors, 0.0)  # f_top=1 lands on the top slice
 
 
 class TestEadeSolver:
@@ -155,19 +153,17 @@ class TestEadeSolver:
             if generation > 1 and (generation - 1) % period == 0:
                 pool.refresh()
             n = min(n_pop, obj.remaining)
-            trials = np.empty((n, dim))
-            drawn = []
-            for i in range(n):
-                idx, cr = pool.draw(rng)
-                drawn.append(idx)
-                f_weight = rng.uniform(0.4, 0.9)
-                trials[i] = reflect_into_bounds(
-                    de_rand_1_bin(pop, i, f_weight, cr, rng), bounds
-                )
+            drawn, cr = pool.draw(n, rng)
+            rng.random(n)  # the donor-mixing draw, never below 0.0
+            r1, r2, r3 = pick_distinct(n, (n_pop,) * 3, rng).T
+            f_weight = rng.uniform(0.4, 0.9, size=(n, 1))
+            donors = pop[r1] + f_weight * (pop[r2] - pop[r3])
+            trials = reflect_into_bounds(
+                binomial_crossover(pop[:n], donors, cr, rng), bounds
+            )
             values = obj.evaluate_batch(trials)
             better = values < fit[:n]
-            for i in range(n):
-                pool.record(drawn[i], bool(better[i]))
+            pool.record(drawn, better)
             pop[:n][better] = trials[better]
             fit[:n][better] = values[better]
 

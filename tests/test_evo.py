@@ -11,7 +11,6 @@ from wsnopt.evo import (
     SuccessHistory,
     TrackedObjective,
     binomial_crossover,
-    de_rand_1_bin,
     init_population,
     linear_pop_size_reduction,
     pick_distinct,
@@ -57,40 +56,45 @@ class TestInitPopulation:
 class TestTrialBuilders:
     def test_pick_distinct_excludes_target(self):
         rng = np.random.default_rng(3)
+        for _ in range(20):
+            idx = pick_distinct(10, (10, 10, 10), rng)
+            assert idx.shape == (10, 3)
+            for row, picked in enumerate(idx):
+                assert len(set(picked.tolist())) == 3
+                assert row not in picked
+                assert picked.min() >= 0 and picked.max() < 10
+
+    def test_pick_distinct_later_columns_reach_the_larger_pool(self):
+        rng = np.random.default_rng(4)
+        idx = pick_distinct(5, (5, 9), rng)
         for _ in range(200):
-            idx = pick_distinct(10, 4, 3, rng)
-            assert len(set(idx.tolist())) == 3
-            assert 4 not in idx
+            idx = np.vstack([idx, pick_distinct(5, (5, 9), rng)])
+        assert idx[:, 0].max() < 5
+        assert set(idx[:, 1].tolist()) == set(range(9))
+        rows = np.tile(np.arange(5), len(idx) // 5)
+        assert not np.any(idx[:, 1] == rows)
+        assert not np.any(idx[:, 0] == idx[:, 1])
 
     def test_crossover_keeps_one_donor_coordinate(self):
         rng = np.random.default_rng(5)
-        parent = np.zeros(8)
-        donor = np.ones(8)
+        parent = np.zeros((6, 8))
+        donor = np.ones((6, 8))
         trial = binomial_crossover(parent, donor, 0.0, rng)
-        assert trial.sum() == 1.0  # exactly the forced coordinate
+        # exactly the forced coordinate, once per row
+        np.testing.assert_array_equal(trial.sum(axis=1), 1.0)
 
     def test_crossover_full_rate_copies_donor(self):
         rng = np.random.default_rng(6)
-        trial = binomial_crossover(np.zeros(5), np.ones(5), 1.0, rng)
-        np.testing.assert_array_equal(trial, np.ones(5))
+        trial = binomial_crossover(np.zeros((3, 5)), np.ones((3, 5)), 1.0, rng)
+        np.testing.assert_array_equal(trial, np.ones((3, 5)))
 
-    def test_de_rand_1_bin_small_population_rejected(self):
-        with pytest.raises(ValueError):
-            de_rand_1_bin(np.zeros((3, 2)), 0, 0.5, 0.9, np.random.default_rng(0))
-
-    def test_de_rand_1_bin_one_dimension_is_pure_donor(self):
-        # With D=1 the forced coordinate always takes the donor value
-        # x_r1 + F * (x_r2 - x_r3).
-        pop = np.array([[1.0], [2.0], [4.0], [8.0]])
-        rng = np.random.default_rng(11)
-        trial = de_rand_1_bin(pop, 0, 0.5, 0.0, rng)
-        candidates = set()
-        for r1 in (1, 2, 3):
-            for r2 in (1, 2, 3):
-                for r3 in (1, 2, 3):
-                    if len({r1, r2, r3}) == 3:
-                        candidates.add(pop[r1, 0] + 0.5 * (pop[r2, 0] - pop[r3, 0]))
-        assert trial[0] in candidates
+    def test_crossover_rate_is_per_row(self):
+        rng = np.random.default_rng(7)
+        trial = binomial_crossover(
+            np.zeros((2, 50)), np.ones((2, 50)), np.array([0.0, 1.0]), rng
+        )
+        assert trial[0].sum() == 1.0
+        np.testing.assert_array_equal(trial[1], 1.0)
 
 
 class TestReflection:
@@ -182,10 +186,10 @@ class TestSuccessHistory:
     def test_sample_ranges(self):
         mem = SuccessHistory(size=5)
         rng = np.random.default_rng(13)
-        for _ in range(500):
-            f, cr = mem.sample(rng)
-            assert 0.0 < f <= 1.0
-            assert 0.0 <= cr <= 1.0
+        f, cr = mem.sample(500, rng)
+        assert f.shape == cr.shape == (500,)
+        assert np.all((0.0 < f) & (f <= 1.0))
+        assert np.all((0.0 <= cr) & (cr <= 1.0))
 
 
 class TestTrackedObjective:

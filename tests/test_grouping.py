@@ -11,7 +11,6 @@ from wsnopt.grouping import (
     dg_interaction,
     dgsc_group,
     rdg3_group,
-    rdg_group,
     similarity_matrix,
 )
 
@@ -96,16 +95,18 @@ class TestDgInteraction:
 
 
 class TestRdg:
+    """Plain recursive grouping: a cap at the dimension, separables alone."""
+
     def test_sphere_fully_separable(self):
         obj = make_objective(sphere, 10)
-        result = rdg_group(obj)
+        result = rdg3_group(obj, size_cap=10, separable_pack=1)
         assert sorted(result.separable.tolist()) == list(range(10))
         assert result.sizes == [1] * 10
         result.assert_partition(10)
 
     def test_product_blocks_recovered(self):
         obj = make_objective(product_pairs, 6)
-        result = rdg_group(obj)
+        result = rdg3_group(obj, size_cap=6, separable_pack=1)
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({2, 3}),
@@ -115,7 +116,7 @@ class TestRdg:
 
     def test_mixed_structure(self):
         obj = make_objective(mixed, 5)
-        result = rdg_group(obj)
+        result = rdg3_group(obj, size_cap=5, separable_pack=1)
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({3, 4}),
@@ -125,12 +126,12 @@ class TestRdg:
 
     def test_chain_merges_into_one_group(self):
         obj = make_objective(rosenbrock, 8)
-        result = rdg_group(obj)
+        result = rdg3_group(obj, size_cap=8, separable_pack=1)
         assert group_sets(result) == {frozenset(range(8))}
 
     def test_probe_evals_match_budget(self):
         obj = make_objective(mixed, 5)
-        result = rdg_group(obj)
+        result = rdg3_group(obj, size_cap=5, separable_pack=1)
         assert result.probe_evals == obj.budget.used
         assert result.probe_evals > 0
 
@@ -163,7 +164,7 @@ class TestRdg3:
 
     def test_cap_at_dimension_matches_uncapped_grouping(self):
         merged_capped = group_sets(rdg3_group(make_objective(rosenbrock, 8), size_cap=8))
-        merged_plain = group_sets(rdg_group(make_objective(rosenbrock, 8)))
+        merged_plain = group_sets(rdg3_group(make_objective(rosenbrock, 8), size_cap=1000))
         assert merged_capped == merged_plain
 
     def test_full_coupling_yields_bounded_groups(self):
@@ -190,6 +191,16 @@ class TestSimilarityMatrix:
         assert weights[0, 2] == 0.0
         assert weights[1, 4] == 0.0
         np.testing.assert_array_equal(weights, weights.T)
+
+    @pytest.mark.parametrize("fn, dim", [(mixed, 5), (rosenbrock, 6), (shuffled_products, 6)])
+    def test_entries_are_pairwise_interaction_strengths(self, fn, dim):
+        weights = similarity_matrix(make_objective(fn, dim))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                interacts, lam = dg_interaction(make_objective(fn, dim), i, j)
+                assert (weights[i, j] != 0.0) == interacts
+                if interacts:
+                    assert weights[i, j] == pytest.approx(lam, rel=1e-12)
 
     def test_separable_function_gives_zero_matrix(self):
         obj = make_objective(sphere, 5)

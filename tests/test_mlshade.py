@@ -132,11 +132,12 @@ class TestMaskedGenerations:
         group = np.array([0, 1])
         solver = MlshadeSpaSolver()
         if strategy == "history":
-            solver._history_de_generation(pop, fit, group, obj, rng, (SuccessHistory(), []))
+            trials, state = solver._history_de_trials, (SuccessHistory(), [])
         elif strategy == "slice":
-            solver._slice_de_generation(pop, fit, group, obj, rng, CrossoverRatePool())
+            trials, state = solver._slice_de_trials, CrossoverRatePool()
         else:
-            solver._triangular_de_generation(pop, fit, group, obj, rng, None)
+            trials, state = solver._triangular_de_trials, None
+        solver._generation(trials, state, pop, fit, group, obj, rng)
         # coordinates outside the active group never move, even on replacement
         np.testing.assert_array_equal(pop[:, 2:], original[:, 2:])
         changed = ~np.all(pop[:, :2] == original[:, :2], axis=1)

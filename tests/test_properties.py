@@ -1,4 +1,8 @@
-"""Property tests of the row kernel: every scalar entry point is a batch of one."""
+"""Property tests of the row kernel.
+
+Every scalar entry point is a batch of one, and the error probability never
+rises when one gain is raised.
+"""
 
 import numpy as np
 import pytest
@@ -83,3 +87,28 @@ def test_default_path_agrees_with_matrix_reference(rho, data):
         default = fusion_error_probability(prob.config, prob.fading, g)
         matrix = fusion_error_probability(prob.config, prob.fading, g, method="matrix")
         assert abs(default - matrix) < 1e-10
+
+
+# Relative slack for the monotonicity check: the deflection of each side goes
+# through its own Cholesky solve at rho > 0, whose rounding can reverse two
+# nearly equal probabilities by far less than this.
+MONOTONE_REL_TOL = 1e-9
+
+
+@pytest.mark.parametrize("method", ["auto", "matrix"])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@SETTINGS
+@given(data=st.data())
+def test_raising_one_gain_never_raises_error_probability(rho, method, data):
+    # The deflection is 1'(Sigma_v + sigma_w2 diag(a)^-2)^-1 1 scaled by the
+    # signal power, with a = h * g, so it grows with every a_i^2 and the
+    # error probability Q(sqrt(deflection) / 2) falls.
+    prob, _, _ = data.draw(instances(rho))
+    L = prob.dimension
+    g = data.draw(arrays(np.float64, L, elements=st.floats(0.0, 15.0)))
+    k = data.draw(st.integers(0, L - 1))
+    raised = g.copy()
+    raised[k] += data.draw(st.floats(0.0, 5.0))
+    before = fusion_error_probability(prob.config, prob.fading, g, method=method)
+    after = fusion_error_probability(prob.config, prob.fading, raised, method=method)
+    assert after <= before * (1.0 + MONOTONE_REL_TOL)
