@@ -7,6 +7,12 @@ log-likelihood-ratio threshold rule, and its error probability has a closed
 form in terms of the gain vector.  The optimization problem is to minimize the
 total transmit power subject to a ceiling on that error probability, handled
 here through a dynamic multi-stage penalty.
+
+The evaluation kernel costs O(L) per gain vector at every correlation: white
+noise has a closed form, and correlated noise needs one tridiagonal solve,
+because the inverse of the exponential noise covariance is tridiagonal.  The
+dense O(L^3) factorization of the effective covariance is kept only as the
+reference (``method="matrix"``) the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -15,13 +21,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, toeplitz
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, toeplitz
+from scipy.linalg.lapack import dptsv
 from scipy.special import erfc
 
 from .evo import Bounds
 
 # Rayleigh scale that yields unit-mean channel amplitudes.
 RAYLEIGH_UNIT_MEAN_SCALE = math.sqrt(2.0 / math.pi)
+
+# Elements per tridiagonal solve of the correlated kernel; a batch is solved
+# in chunks of about this many, which bounds the solve's temporaries.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,10 @@ def q_function(x):
 
 
 def _deflection(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
-    """Squared deflection statistic through the SPD factorization path."""
+    """Squared deflection of one gain vector by a dense Cholesky solve.
+
+    The O(L^3) reference behind ``method="matrix"``.
+    """
     a = np.asarray(h, dtype=float) * np.asarray(g, dtype=float)
     cov = effective_noise_covariance(config, h, g)
     # Factorization solve; an explicit matrix inverse is never formed.
@@ -143,20 +157,63 @@ def _q_of_deflection(s):
     return q_function(0.5 * np.sqrt(np.maximum(s, 0.0)))
 
 
+def _deflections(config: WsnConfig, h: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Squared deflection of each row of the gain stack ``G``, O(L) a row.
+
+    White observation noise, and a single sensor, have a closed form.  For
+    correlated noise let ``r = correlation**spacing``: the noise covariance
+    ``sigma_v2 * r**|i-j|`` has the inverse ``c*T`` with
+    ``c = 1/(sigma_v2*(1 - r**2))`` and ``T`` tridiagonal, diagonal
+    ``(1, 1+r**2, ..., 1+r**2, 1)`` and off-diagonal ``-r``.  With
+    ``u = (h*g)**2`` and ``M = c*T + diag(u)/sigma_w2``, Woodbury gives
+    ``(P/sigma_w2) * u' M^-1 (c*T 1)``, which has no cancellation at large
+    gains.  ``M`` is symmetric and strictly diagonally dominant, hence
+    positive definite, so ``dptsv`` solves it without pivoting.  Each chunk
+    of rows is one block-diagonal system whose zero couplings between rows
+    leave every row's arithmetic exactly as it is alone, so a row's value
+    does not depend on its batch.  As ``r`` nears 1, ``T`` grows
+    ill-conditioned and the relative error at small gains grows like
+    machine epsilon over ``(1 - r)**2``: about 3e-12 at ``r = 0.99``.
+    """
+    rows, L = G.shape
+    if config.correlation == 0.0 or L == 1:
+        a2 = (G * h) ** 2
+        terms = config.signal_power * a2 / (a2 * config.sigma_v2 + config.sigma_w2)
+        return terms.sum(axis=1)
+    if not np.isfinite(G).all():
+        # A non-finite gain would leak through the zero couplings into the
+        # later rows of its chunk.
+        raise ValueError("gains must be finite")
+    r = config.correlation**config.spacing
+    c = 1.0 / (config.sigma_v2 * (1.0 - r * r))
+    t_diag = np.full(L, 1.0 + r * r)
+    t_diag[[0, -1]] = 1.0
+    t_ones = np.full(L, (1.0 - r) ** 2)
+    t_ones[[0, -1]] = 1.0 - r
+    coupling = np.full(L, -c * r)
+    coupling[-1] = 0.0
+    chunk = max(1, _CHUNK_ELEMENTS // L)
+    s = np.empty(rows)
+    for start in range(0, rows, chunk):
+        u = (G[start : start + chunk] * h) ** 2
+        m = len(u)
+        d = (c * t_diag + u / config.sigma_w2).ravel()
+        e = np.tile(coupling, m)[:-1]
+        b = np.tile(c * t_ones, m)[:, None]
+        _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
+        s[start : start + m] = (u * x.reshape(m, L)).sum(axis=1)
+    return (config.signal_power / config.sigma_w2) * s
+
+
 def error_probabilities(config: WsnConfig, h: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Fusion error probability of each row of the gain stack ``G``.
 
-    White observation noise uses the closed-form squared deflection,
-    vectorized over rows; correlated noise factorizes each row's effective
-    covariance in turn.
+    The evaluation kernel: O(L) per row at every correlation (see
+    ``_deflections``).
     """
-    if config.correlation == 0.0:
-        a2 = (G * h) ** 2
-        terms = config.signal_power * a2 / (a2 * config.sigma_v2 + config.sigma_w2)
-        s = terms.sum(axis=1)
-    else:
-        s = np.array([_deflection(config, h, g) for g in G])
-    return _q_of_deflection(s)
+    return _q_of_deflection(_deflections(config, h, G))
 
 
 def fusion_error_probability(
@@ -164,10 +221,10 @@ def fusion_error_probability(
 ) -> float:
     """Error probability of the fusion-center threshold rule.
 
-    ``method`` selects the computation path: "auto" is the evaluation kernel
-    (``error_probabilities`` on a batch of one) and "matrix" always uses the
-    dense covariance factorization, the reference the kernel is checked
-    against.
+    ``method`` selects the computation path: "auto" is the O(L) evaluation
+    kernel (``error_probabilities`` on a batch of one) and "matrix" always
+    uses the dense O(L^3) covariance factorization, the reference the kernel
+    is checked against.
 
     Raises ``numpy.linalg.LinAlgError`` when the effective covariance is
     not positive definite (a degenerate configuration).

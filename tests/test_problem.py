@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wsnopt import problem as problem_module
 from wsnopt.evo import Bounds
 from wsnopt.problem import (
     PowerAllocationProblem,
@@ -14,6 +15,7 @@ from wsnopt.problem import (
     build_signal_covariance,
     constraint_margin,
     effective_noise_covariance,
+    error_probabilities,
     fusion_error_probability,
     monte_carlo_error_rate,
     penalized_objective,
@@ -153,16 +155,55 @@ class TestFusionErrorProbability:
         h = sample_fading(cfg)
         assert fusion_error_probability(cfg, h, np.zeros(8)) == pytest.approx(0.5)
 
-    def test_default_and_matrix_paths_agree(self):
+    @pytest.mark.parametrize(
+        "spacing,sigma_v2,sigma_w2", [(1.0, 1.0, 1.0), (2.5, 3.0, 0.5)]
+    )
+    @pytest.mark.parametrize("ell", [1, 2, 17, 300, 800])
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.9, 0.99])
+    def test_default_and_matrix_paths_agree(self, rho, ell, spacing, sigma_v2, sigma_w2):
+        cfg = WsnConfig(
+            num_sensors=ell,
+            correlation=rho,
+            spacing=spacing,
+            sigma_v2=sigma_v2,
+            sigma_w2=sigma_w2,
+            fading_seed=ell,
+        )
+        h = sample_fading(cfg)
         rng = np.random.default_rng(5)
-        for ell in (1, 4, 17, 60):
-            cfg = WsnConfig(num_sensors=ell, correlation=0.0, fading_seed=ell)
-            h = sample_fading(cfg)
-            for _ in range(5):
-                g = rng.uniform(0.0, 15.0, size=ell)
-                pd = fusion_error_probability(cfg, h, g)
-                pm = fusion_error_probability(cfg, h, g, method="matrix")
-                assert abs(pd - pm) < 1e-10
+        G = np.vstack(
+            [
+                rng.uniform(0.0, 15.0, size=(3, ell)),
+                np.zeros(ell),
+                rng.uniform(0.0, 1e-3, size=ell),
+                np.where(rng.random(ell) < 0.5, 0.0, 15.0),
+            ]
+        )
+        kernel = problem_module._deflections(cfg, h, G)
+        for g, s in zip(G, kernel):
+            reference = problem_module._deflection(cfg, h, g)
+            assert abs(s - reference) <= 1e-11 * reference
+            pd = fusion_error_probability(cfg, h, g)
+            pm = fusion_error_probability(cfg, h, g, method="matrix")
+            assert abs(pd - pm) < 1e-10
+
+    def test_rows_spanning_several_chunks_equal_batches_of_one(self):
+        cfg = WsnConfig(num_sensors=300, correlation=0.5, fading_seed=4)
+        h = sample_fading(cfg)
+        rows = 2 * (problem_module._CHUNK_ELEMENTS // 300) + 7
+        G = np.random.default_rng(8).uniform(0.0, 15.0, size=(rows, 300))
+        batch = error_probabilities(cfg, h, G)
+        for g, p in zip(G, batch):
+            assert p == error_probabilities(cfg, h, g[None, :])[0]
+
+    def test_non_finite_gains_rejected_when_correlated(self):
+        # NaN or inf times a zero coupling is NaN, so a non-finite gain would
+        # spoil the later rows of its chunk; the dense path refused it too.
+        cfg = WsnConfig(num_sensors=4, correlation=0.5)
+        G = np.ones((3, 4))
+        G[0, 2] = np.nan
+        with pytest.raises(ValueError):
+            error_probabilities(cfg, np.ones(4), G)
 
     def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)
