@@ -126,7 +126,8 @@ def cc_optimize(
 ):
     """Run cooperative coevolution until the evaluation budget is spent.
 
-    ``make_subsolver`` is called once per group with that group's view and
+    ``make_subsolver`` (a subsolver class such as ``CmaesSubsolver`` or
+    ``SansdeSubsolver``) is called once per group with that group's view and
     must return an object whose ``step(rng)`` advances the subproblem by
     one internal iteration, spending budget through the view.  ``initial``
     seeds the context (it is re-evaluated here); by default a uniform
@@ -144,7 +145,7 @@ def cc_optimize(
     context = ContextVector(initial, fitness)
 
     views = [SubproblemView(objective, context, group) for group in groups]
-    subsolvers = [make_subsolver(view, rng) for view in views]
+    subsolvers = [make_subsolver(view) for view in views]
 
     while objective.remaining > 0:
         group = scheduler.pick(len(groups))

@@ -28,7 +28,6 @@ from .harness import (
     write_cell_files,
 )
 from .problem import PowerAllocationProblem, WsnConfig, monte_carlo_error_rate
-from .solvers import SOLVERS
 from .stats import friedman_ranks, paired_rank_tests
 
 
@@ -94,15 +93,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_case(args) -> int:
-    if args.algo not in SOLVERS:
-        print(
-            f"unknown algorithm {args.algo!r}; choose from {sorted(SOLVERS)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trials < 1 or args.max_evals < 1:
-        print("trials and --max-evals must be positive", file=sys.stderr)
-        return 2
     case = CaseSpec(args.sensors, args.epsilon, args.rho)
     config = ExperimentConfig(
         grid=[{"sensors": [args.sensors], "epsilon": [args.epsilon], "rho": [args.rho]}],
@@ -114,6 +104,11 @@ def cmd_case(args) -> int:
         output_dir=args.out,
         snr_db=args.snr_db,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     records = []
     for trial in range(args.trials):
         record = run_trial(config, case, args.algo, trial)

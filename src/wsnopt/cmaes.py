@@ -18,11 +18,14 @@ import numpy as np
 
 from .evo import reflect_into_bounds
 
+# Initial step size as a fraction of the box width.
+SIGMA_SCALE = 0.3
+
 
 class CmaesSubsolver:
     """One generation of CMA-ES per ``step`` on a subproblem view."""
 
-    def __init__(self, view, sigma_scale: float = 0.3):
+    def __init__(self, view):
         self.view = view
         n = view.dimension
         self.n = n
@@ -46,7 +49,7 @@ class CmaesSubsolver:
         )
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
-        self.sigma0 = sigma_scale * view.bounds.width
+        self.sigma0 = SIGMA_SCALE * view.bounds.width
         self.resets = 0
         self._fresh_state(view.current())
 
@@ -141,7 +144,3 @@ class CmaesSubsolver:
         )
         if state_bad:
             self._reset()
-
-
-def make_cmaes_subsolver(view, rng=None, sigma_scale: float = 0.3):
-    return CmaesSubsolver(view, sigma_scale=sigma_scale)

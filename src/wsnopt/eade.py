@@ -19,9 +19,16 @@ from .evo import (
     reflect_into_bounds,
 )
 
+# The solver's published settings: the crossover-rate candidates, the range
+# of the DE/rand/1 weight, and the pool's refresh period as a fraction of
+# the run's generations.
+POOL_VALUES = (0.05, 0.5, 0.95)
+F_LOW, F_HIGH = 0.4, 0.9
+LEARNING_FRACTION = 0.1
+
 
 class CrossoverRatePool:
-    """Pool of crossover rates with success-ratio-proportional selection.
+    """Pool of the ``POOL_VALUES`` crossover rates, drawn by success ratio.
 
     Draws are uniform until the first refresh.  Each refresh recomputes the
     selection probabilities from the success ratios accumulated since the
@@ -29,28 +36,25 @@ class CrossoverRatePool:
     probabilities fall back to uniform.
     """
 
-    def __init__(self, values=(0.05, 0.5, 0.95)):
-        self.values = tuple(float(v) for v in values)
-        if len(self.values) < 1:
-            raise ValueError("pool must contain at least one rate")
-        k = len(self.values)
+    def __init__(self):
+        k = len(POOL_VALUES)
         self.probabilities = np.full(k, 1.0 / k)
         self.successes = np.zeros(k)
         self.failures = np.zeros(k)
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Pool indices and their rates for ``n`` trials."""
-        idx = rng.choice(len(self.values), size=n, p=self.probabilities)
-        return idx, np.asarray(self.values)[idx]
+        idx = rng.choice(len(POOL_VALUES), size=n, p=self.probabilities)
+        return idx, np.asarray(POOL_VALUES)[idx]
 
     def record(self, indices: np.ndarray, success: np.ndarray):
-        k = len(self.values)
+        k = len(POOL_VALUES)
         self.successes += np.bincount(indices[success], minlength=k)
         self.failures += np.bincount(indices[~success], minlength=k)
 
     def refresh(self):
         tried = (self.successes + self.failures) > 0.0
-        ratios = np.zeros(len(self.values))
+        ratios = np.zeros(len(POOL_VALUES))
         ratios[tried] = self.successes[tried] / (
             self.successes[tried] + self.failures[tried]
         )
@@ -58,7 +62,7 @@ class CrossoverRatePool:
         if total > 0.0:
             self.probabilities = ratios / total
         else:
-            self.probabilities = np.full(len(self.values), 1.0 / len(self.values))
+            self.probabilities = np.full(len(POOL_VALUES), 1.0 / len(POOL_VALUES))
         self.successes[:] = 0.0
         self.failures[:] = 0.0
 
@@ -91,73 +95,61 @@ def eade_mutation(
     return mid + f_top * (top - mid) + f_bottom * (mid - bottom)
 
 
-class EadeSolver:
-    """Population solver mixing rank-slice donors with DE/rand/1/bin."""
+def eade(
+    objective: TrackedObjective,
+    rng: np.random.Generator,
+    population_size: int,
+    slice_fraction: float = 0.1,
+    mix_probability: float = 0.5,
+) -> TrackedObjective:
+    """Population solver mixing rank-slice donors with DE/rand/1/bin.
 
-    def __init__(
-        self,
-        slice_fraction: float = 0.1,
-        mix_probability: float = 0.5,
-        pool_values=(0.05, 0.5, 0.95),
-        f_low: float = 0.4,
-        f_high: float = 0.9,
-        learning_fraction: float = 0.1,
-    ):
-        if not 0.0 < slice_fraction < 0.5:
-            raise ValueError("slice_fraction must lie in (0, 0.5)")
-        if not 0.0 <= mix_probability <= 1.0:
-            raise ValueError("mix_probability must lie in [0, 1]")
-        self.slice_fraction = slice_fraction
-        self.mix_probability = mix_probability
-        self.pool_values = pool_values
-        self.f_low = f_low
-        self.f_high = f_high
-        self.learning_fraction = learning_fraction
+    Each row's donor is a rank-slice donor with ``mix_probability``, else a
+    DE/rand/1 donor; the slices are the best and the worst
+    ``slice_fraction`` of the population.
+    """
+    if not 0.0 < slice_fraction < 0.5:
+        raise ValueError("slice_fraction must lie in (0, 0.5)")
+    if not 0.0 <= mix_probability <= 1.0:
+        raise ValueError("mix_probability must lie in [0, 1]")
+    n_pop = int(population_size)
+    n_slice = int(slice_fraction * n_pop)
+    if n_slice < 1 or n_pop - 2 * n_slice < 1:
+        raise ValueError("population too small for the configured slices")
 
-    def run(
-        self,
-        objective: TrackedObjective,
-        rng: np.random.Generator,
-        population_size: int,
-    ) -> TrackedObjective:
-        n_pop = int(population_size)
-        n_slice = int(self.slice_fraction * n_pop)
-        if n_slice < 1 or n_pop - 2 * n_slice < 1:
-            raise ValueError("population too small for the configured slices")
+    bounds = objective.bounds
+    objective.population_size = n_pop
+    pop = init_population(n_pop, objective.dimension, bounds, rng)
+    n_first = min(n_pop, objective.remaining)
+    fit = np.full(n_pop, np.inf)
+    fit[:n_first] = objective.evaluate_batch(pop[:n_first])
 
-        bounds = objective.bounds
-        objective.population_size = n_pop
-        pop = init_population(n_pop, objective.dimension, bounds, rng)
-        n_first = min(n_pop, objective.remaining)
-        fit = np.full(n_pop, np.inf)
-        fit[:n_first] = objective.evaluate_batch(pop[:n_first])
+    total_generations = max(1, objective.budget.max_evals // n_pop)
+    period = max(1, round(LEARNING_FRACTION * total_generations))
+    pool = CrossoverRatePool()
 
-        total_generations = max(1, objective.budget.max_evals // n_pop)
-        period = max(1, round(self.learning_fraction * total_generations))
-        pool = CrossoverRatePool(self.pool_values)
-
-        generation = 0
-        while objective.remaining > 0:
-            generation += 1
-            if generation > 1 and (generation - 1) % period == 0:
-                pool.refresh()
-            n = min(n_pop, objective.remaining)
-            drawn, cr = pool.draw(n, rng)
-            slice_rows = rng.random(n) < self.mix_probability
-            rand_rows = ~slice_rows
-            donors = np.empty((n, objective.dimension))
-            donors[slice_rows] = eade_mutation(
-                pop[np.argsort(fit, kind="stable")], n_slice, int(slice_rows.sum()), rng
-            )
-            r1, r2, r3 = pick_distinct(n, (n_pop,) * 3, rng)[rand_rows].T
-            f_weight = rng.uniform(self.f_low, self.f_high, size=(len(r1), 1))
-            donors[rand_rows] = pop[r1] + f_weight * (pop[r2] - pop[r3])
-            trials = reflect_into_bounds(
-                binomial_crossover(pop[:n], donors, cr, rng), bounds
-            )
-            values = objective.evaluate_batch(trials)
-            better = values < fit[:n]
-            pool.record(drawn, better)
-            pop[:n][better] = trials[better]
-            fit[:n][better] = values[better]
-        return objective
+    generation = 0
+    while objective.remaining > 0:
+        generation += 1
+        if generation > 1 and (generation - 1) % period == 0:
+            pool.refresh()
+        n = min(n_pop, objective.remaining)
+        drawn, cr = pool.draw(n, rng)
+        slice_rows = rng.random(n) < mix_probability
+        rand_rows = ~slice_rows
+        donors = np.empty((n, objective.dimension))
+        donors[slice_rows] = eade_mutation(
+            pop[np.argsort(fit, kind="stable")], n_slice, int(slice_rows.sum()), rng
+        )
+        r1, r2, r3 = pick_distinct(n, (n_pop,) * 3, rng)[rand_rows].T
+        f_weight = rng.uniform(F_LOW, F_HIGH, size=(len(r1), 1))
+        donors[rand_rows] = pop[r1] + f_weight * (pop[r2] - pop[r3])
+        trials = reflect_into_bounds(
+            binomial_crossover(pop[:n], donors, cr, rng), bounds
+        )
+        values = objective.evaluate_batch(trials)
+        better = values < fit[:n]
+        pool.record(drawn, better)
+        pop[:n][better] = trials[better]
+        fit[:n][better] = values[better]
+    return objective

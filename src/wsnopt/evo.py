@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Population size at the end of a linear population-size reduction.
+MIN_POPULATION = 20
+# Starting mutation weight and crossover rate of every success-history slot.
+HISTORY_INIT = 0.5
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -227,13 +232,17 @@ def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.clip(x, low, high)
 
 
-def linear_pop_size_reduction(budget: EvalBudget, n_init: int, n_min: int = 20) -> int:
-    """Target population size, shrinking linearly with budget consumption."""
-    if n_min > n_init:
-        raise ValueError("n_min cannot exceed n_init")
+def linear_pop_size_reduction(budget: EvalBudget, n_init: int) -> int:
+    """Target population size, shrinking linearly with budget consumption.
+
+    The size falls from ``n_init`` at the start to ``MIN_POPULATION`` when
+    the budget is spent.
+    """
+    if MIN_POPULATION > n_init:
+        raise ValueError("the minimum population cannot exceed n_init")
     frac = budget.used / budget.max_evals
     # Round half up so the schedule is platform independent.
-    return int(np.floor(n_init - (n_init - n_min) * frac + 0.5))
+    return int(np.floor(n_init - (n_init - MIN_POPULATION) * frac + 0.5))
 
 
 def shrink_population(
@@ -253,14 +262,15 @@ class SuccessHistory:
     Each slot stores a mean mutation weight and crossover rate.  Updates use
     the improvement-weighted Lehmer mean for the mutation weight and the
     improvement-weighted arithmetic mean for the crossover rate; a
-    generation with no successes leaves the memory untouched.
+    generation with no successes leaves the memory untouched.  Every slot
+    starts at ``HISTORY_INIT``.
     """
 
-    def __init__(self, size: int = 5, init: float = 0.5):
+    def __init__(self, size: int = 5):
         if size < 1:
             raise ValueError("memory size must be positive")
-        self.f_mean = np.full(size, init)
-        self.cr_mean = np.full(size, init)
+        self.f_mean = np.full(size, HISTORY_INIT)
+        self.cr_mean = np.full(size, HISTORY_INIT)
         self.cursor = 0
 
     def update(self, f_values, cr_values, improvements):

@@ -11,7 +11,7 @@ objective, with the penalty iteration pinned so detection is consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
@@ -19,35 +19,14 @@ from scipy.linalg import eigh
 
 from .evo import TrackedObjective
 
-
-@dataclass
-class InteractionProbe:
-    """Where and how hard to poke the objective when testing interactions.
-
-    ``base`` defaults to the lower-bound corner of the search box, ``delta``
-    to half the box width, and ``threshold`` to an adaptive value scaled by
-    the magnitude of the involved function values.
-    """
-
-    base: np.ndarray | None = None
-    delta: float | None = None
-    threshold: float | None = None
-
-    def resolve(self, objective: TrackedObjective):
-        bounds = objective.bounds
-        base = (
-            np.full(objective.dimension, bounds.lower, dtype=float)
-            if self.base is None
-            else np.asarray(self.base, dtype=float)
-        )
-        delta = 0.5 * bounds.width if self.delta is None else float(self.delta)
-        return base, delta
-
-    def detection_threshold(self, f_values, dimension: int):
-        """The fixed ``threshold`` if set, else the adaptive one for ``f_values``."""
-        if self.threshold is not None:
-            return self.threshold
-        return _adaptive_threshold(f_values, dimension)
+# Pair sampling of ``similarity_matrix``: every pair is probed up to this
+# many variables, and above it this fraction of the pairs, with at least
+# MIN_PARTNERS partners per variable; probes never take more than
+# PROBE_BUDGET_FRACTION of the evaluation budget.
+FULL_PROBE_DIMENSION = 400
+SAMPLE_FRACTION = 0.25
+MIN_PARTNERS = 3
+PROBE_BUDGET_FRACTION = 0.8
 
 
 @dataclass
@@ -79,23 +58,31 @@ def _adaptive_threshold(f_values, dimension: int):
     return alpha * np.maximum(smallest, 1.0)
 
 
+def _lower_corner(objective: TrackedObjective) -> np.ndarray:
+    """Base point of every interaction probe: the box's lower-bound corner."""
+    return np.full(objective.dimension, objective.bounds.lower, dtype=float)
+
+
 def dg_interaction(
     objective: TrackedObjective,
     i: int,
     j: int,
-    probe: InteractionProbe | None = None,
+    delta: float | None = None,
+    threshold: float | None = None,
 ) -> tuple[bool, float]:
     """Pairwise finite-difference interaction test between variables i and j.
 
     Compares the change from perturbing variable ``i`` alone with the same
     perturbation applied after variable ``j`` has moved; a mismatch above the
-    detection threshold means the pair is non-separable.  Costs exactly four
-    budgeted probe evaluations.
+    detection threshold means the pair is non-separable.  Both moves start
+    from the lower-bound corner.  ``delta`` defaults to half the box width
+    and ``threshold`` to the adaptive one.  Costs exactly four budgeted
+    probe evaluations.
     """
     if i == j:
         raise ValueError("interaction test needs two distinct variables")
-    probe = probe or InteractionProbe()
-    base, delta = probe.resolve(objective)
+    base = _lower_corner(objective)
+    delta = 0.5 * objective.bounds.width if delta is None else float(delta)
     x_i = base.copy()
     x_i[i] += delta
     x_j = base.copy()
@@ -104,7 +91,8 @@ def dg_interaction(
     x_ij[j] += delta
     f0, fi, fj, fij = objective.probe_batch(np.stack([base, x_i, x_j, x_ij]))
     lam = abs((fi - f0) - (fij - fj))
-    threshold = probe.detection_threshold((f0, fi, fj, fij), objective.dimension)
+    if threshold is None:
+        threshold = _adaptive_threshold((f0, fi, fj, fij), objective.dimension)
     return bool(lam > threshold), float(lam)
 
 
@@ -116,11 +104,10 @@ class _SetTester:
     separable contributions cancel exactly.
     """
 
-    def __init__(self, objective: TrackedObjective, probe: InteractionProbe):
+    def __init__(self, objective: TrackedObjective):
         self.objective = objective
-        self.probe = probe
         bounds = objective.bounds
-        self.base, _ = probe.resolve(objective)
+        self.base = _lower_corner(objective)
         self.high = bounds.upper
         self.mid = bounds.lower + 0.5 * bounds.width
         self.f_base = objective.probe(self.base)
@@ -138,21 +125,19 @@ class _SetTester:
         x12[nucleus] = self.high
         f2, f12 = self.objective.probe_batch(np.stack([x2, x12]))
         lam = abs((f_nucleus - self.f_base) - (f12 - f2))
-        threshold = self.probe.detection_threshold(
+        threshold = _adaptive_threshold(
             (self.f_base, f_nucleus, f2, f12), self.objective.dimension
         )
         return bool(lam > threshold)
 
 
 def _recursive_grouping(
-    objective: TrackedObjective,
-    probe: InteractionProbe,
-    cap: int,
+    objective: TrackedObjective, cap: int
 ) -> tuple[list[list[int]], list[int], int]:
     """Core recursive differential grouping loop of rdg3."""
     used_before = objective.budget.used
     dim = objective.dimension
-    tester = _SetTester(objective, probe)
+    tester = _SetTester(objective)
 
     remaining = list(range(dim))
     merged_groups: list[list[int]] = []
@@ -201,7 +186,6 @@ def _pack(indices: list[int], pack_size: int) -> list[np.ndarray]:
 
 def rdg3_group(
     objective: TrackedObjective,
-    probe: InteractionProbe | None = None,
     size_cap: int = 50,
     separable_pack: int = 100,
 ) -> GroupingResult:
@@ -217,8 +201,7 @@ def rdg3_group(
     """
     if size_cap < 1 or separable_pack < 1:
         raise ValueError("size_cap and separable_pack must be positive")
-    probe = probe or InteractionProbe()
-    merged, separable, evals = _recursive_grouping(objective, probe, int(size_cap))
+    merged, separable, evals = _recursive_grouping(objective, int(size_cap))
     groups = [np.array(g, dtype=int) for g in merged]
     groups.extend(_pack(separable, separable_pack))
     return GroupingResult(groups, np.array(separable, dtype=int), evals)
@@ -230,45 +213,41 @@ def _flat_pair(i, j, dim: int):
 
 
 def similarity_matrix(
-    objective: TrackedObjective,
-    probe: InteractionProbe | None = None,
-    sample_fraction: float | None = None,
-    rng: np.random.Generator | None = None,
-    probe_budget_fraction: float = 0.8,
-    min_partners: int = 3,
+    objective: TrackedObjective, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Symmetric matrix of pairwise interaction strengths.
 
-    All pairs are probed up to moderate dimension; beyond 400 variables a
-    random quarter of the pairs is sampled (with at least ``min_partners``
-    sampled partners per variable) and the matrix is symmetrized.  The
-    total probing cost is additionally capped at ``probe_budget_fraction``
-    of the overall evaluation budget so a solver phase can still follow.
-    Entries at or below the detection threshold are zeroed.
+    All pairs are probed up to ``FULL_PROBE_DIMENSION`` variables; beyond
+    that a random ``SAMPLE_FRACTION`` of the pairs is sampled (with at least
+    ``MIN_PARTNERS`` sampled partners per variable) and the matrix is
+    symmetrized.  The total probing cost is additionally capped at
+    ``PROBE_BUDGET_FRACTION`` of the overall evaluation budget so a solver
+    phase can still follow.  Each pair is probed as in ``dg_interaction``
+    with its default step and threshold; entries at or below the threshold
+    are zeroed.
     """
-    probe = probe or InteractionProbe()
     rng = rng if rng is not None else np.random.default_rng(0)
     dim = objective.dimension
-    base, delta = probe.resolve(objective)
+    base = _lower_corner(objective)
+    delta = 0.5 * objective.bounds.width
 
     f_base = objective.probe(base)
     singles = base[None, :] + delta * np.eye(dim)
     f_single = objective.probe_batch(singles)
 
-    if sample_fraction is None:
-        sample_fraction = 1.0 if dim <= 400 else 0.25
+    sample_fraction = 1.0 if dim <= FULL_PROBE_DIMENSION else SAMPLE_FRACTION
     all_pairs = dim * (dim - 1) // 2
-    cap = int(probe_budget_fraction * objective.budget.max_evals) - (dim + 1)
+    cap = int(PROBE_BUDGET_FRACTION * objective.budget.max_evals) - (dim + 1)
     target = min(int(round(sample_fraction * all_pairs)), max(cap, 0), objective.remaining)
 
     rows, cols = np.triu_indices(dim, k=1)
     if target < all_pairs:
         chosen = np.empty(0, dtype=np.int64)
         # Connectivity floor: a few random partners for every variable.
-        if target >= min_partners * dim // 2:
+        if target >= MIN_PARTNERS * dim // 2:
             partners = []
             for i in range(dim):
-                p = rng.choice(dim - 1, size=min(min_partners, dim - 1), replace=False)
+                p = rng.choice(dim - 1, size=min(MIN_PARTNERS, dim - 1), replace=False)
                 j = p + (p >= i)
                 partners.append(_flat_pair(np.minimum(i, j), np.maximum(i, j), dim))
             chosen = np.unique(np.concatenate(partners))
@@ -288,14 +267,13 @@ def similarity_matrix(
         points[k, j] += delta
         f_pair = objective.probe_batch(points)
         lam = np.abs((f_single[i] - f_base) - (f_pair - f_single[j]))
-        hit = lam > probe.detection_threshold((f_base, f_single[i], f_single[j], f_pair), dim)
+        hit = lam > _adaptive_threshold((f_base, f_single[i], f_single[j], f_pair), dim)
         weights[i[hit], j[hit]] = weights[j[hit], i[hit]] = lam[hit]
     return weights
 
 
 def dgsc_group(
     objective: TrackedObjective,
-    probe: InteractionProbe | None = None,
     k_groups: int | None = None,
     separable_pack: int = 100,
     rng: np.random.Generator | None = None,
@@ -315,7 +293,7 @@ def dgsc_group(
     if k < 1:
         raise ValueError("k_groups must be positive")
 
-    weights = similarity_matrix(objective, probe, rng=rng)
+    weights = similarity_matrix(objective, rng=rng)
     degree = weights.sum(axis=1)
     isolated = np.flatnonzero(degree == 0.0)
     connected = np.flatnonzero(degree > 0.0)

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
+        if self.trace_step < 1:
+            raise ValueError("trace_step must be at least 1")
         if not self.grid:
             raise ValueError("grid must contain at least one block")
         unknown = [a for a in self.algorithms if a not in SOLVERS]
@@ -135,6 +137,8 @@ class ExperimentConfig:
                     f"population size missing for {case.sensors} sensors"
                     f" (case {case.case_id})"
                 )
+            # Builds the case's problem description, which checks its ranges.
+            self.problem_config(case)
 
     def cases(self) -> list:
         seen = {}

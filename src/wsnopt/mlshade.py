@@ -30,6 +30,26 @@ from .evo import (
     shrink_population,
 )
 
+# The solver's published settings.  A cycle spends CYCLE_GENERATIONS
+# generations' worth of evaluations, LOCAL_FRACTION of them on the line
+# search; each strategy keeps at least QUOTA_FLOOR of the rest.
+CYCLE_GENERATIONS = 25
+LOCAL_FRACTION = 0.1
+QUOTA_FLOOR = 0.1
+# Success-history DE: memory slots and the p-best fraction.
+HISTORY_SIZE = 5
+P_BEST_FRACTION = 0.1
+# Rank-slice DE: slice generations between crossover-pool refreshes.
+POOL_PERIOD = 10
+# Triangular DE: crossover rate and the range of its mutation weight.
+TRIANGULAR_CR = 0.9
+F_LOW, F_HIGH = 0.4, 0.9
+# Line search: step shrink per failed sweep, the floor below which the step
+# restarts, and the start and restart step as a fraction of the box width.
+MMTS_SHRINK = 0.5
+MMTS_FLOOR = 1e-8
+MMTS_RESTART_FRACTION = 0.4
+
 
 def random_dimension_grouping(
     dimension: int, n_groups: int, rng: np.random.Generator
@@ -49,9 +69,6 @@ class MmtsState:
     """Step length of the multi-trajectory line search, kept across cycles."""
 
     step: float
-    shrink: float = 0.5
-    floor: float = 1e-8
-    restart_fraction: float = 0.4
 
 
 def mmts_local_search(
@@ -93,206 +110,179 @@ def mmts_local_search(
                     improved_in_sweep = True
                     break
         if not improved_in_sweep:
-            state.step *= state.shrink
-            if state.step < state.floor:
-                state.step = state.restart_fraction * bounds.width
+            state.step *= MMTS_SHRINK
+            if state.step < MMTS_FLOOR:
+                state.step = MMTS_RESTART_FRACTION * bounds.width
     return x, f_best, spent
 
 
-class MlshadeSpaSolver:
-    """Quota-scheduled hybrid of three DE strategies plus a local phase."""
+def quota_weights(rates: np.ndarray) -> np.ndarray:
+    """Evaluation shares per strategy from recent improvement rates.
 
-    def __init__(
-        self,
-        min_pop: int = 20,
-        cycle_generations: int = 25,
-        local_fraction: float = 0.1,
-        history_size: int = 5,
-        p_best_fraction: float = 0.1,
-        pool_values=(0.05, 0.5, 0.95),
-        pool_period: int = 10,
-        triangular_cr: float = 0.9,
-        f_low: float = 0.4,
-        f_high: float = 0.9,
-        group_size_target: int = 100,
-        quota_floor: float = 0.1,
-    ):
-        self.min_pop = min_pop
-        self.cycle_generations = cycle_generations
-        self.local_fraction = local_fraction
-        self.history_size = history_size
-        self.p_best_fraction = p_best_fraction
-        self.pool_values = tuple(pool_values)
-        self.pool_period = pool_period
-        self.triangular_cr = triangular_cr
-        self.f_low = f_low
-        self.f_high = f_high
-        self.group_size_target = group_size_target
-        self.quota_floor = quota_floor
+    Every strategy keeps a ``QUOTA_FLOOR`` share; the rest is split in
+    proportion to improvement per evaluation from the last cycle.  With no
+    recorded improvement the shares are equal.
+    """
+    rates = np.asarray(rates, dtype=float)
+    total = rates.sum()
+    k = len(rates)
+    if total <= 0.0:
+        return np.full(k, 1.0 / k)
+    return QUOTA_FLOOR + (1.0 - k * QUOTA_FLOOR) * (rates / total)
 
-    @staticmethod
-    def quota_weights(rates: np.ndarray, floor: float = 0.1) -> np.ndarray:
-        """Evaluation shares per strategy from recent improvement rates.
 
-        Every strategy keeps a floor share; the rest is split in
-        proportion to improvement per evaluation from the last cycle.
-        With no recorded improvement the shares are equal.
-        """
-        rates = np.asarray(rates, dtype=float)
-        total = rates.sum()
-        k = len(rates)
-        if total <= 0.0:
-            return np.full(k, 1.0 / k)
-        return floor + (1.0 - k * floor) * (rates / total)
+# ---- strategy generations ------------------------------------------------
+#
+# Each strategy builds its trial stack on the ``group`` columns of the
+# population and returns it with its learning step, which ``_generation``
+# calls with the improvement mask and gains before selection replaces any
+# parent.
 
-    # ---- strategy generations ------------------------------------------
-    #
-    # Each strategy builds its trial stack on the ``group`` columns of the
-    # population and returns it with its learning step, which ``_generation``
-    # calls with the improvement mask and gains before selection replaces
-    # any parent.
 
-    def _history_de_trials(self, pop, fit, group, rng, state):
-        history, archive = state
+def _history_de_trials(pop, fit, group, rng, state):
+    history, archive = state
+    n_pop = len(pop)
+    sub = pop[:, group]
+    f_scale, cr = history.sample(n_pop, rng)
+    top = max(1, int(P_BEST_FRACTION * n_pop))
+    pbest = sub[np.argsort(fit, kind="stable")[rng.integers(top, size=n_pop)]]
+    union = np.vstack([pop, *archive])[:, group]
+    r1, r2 = pick_distinct(n_pop, (n_pop, len(union)), rng).T
+    f = f_scale[:, None]
+    donors = sub + f * (pbest - sub) + f * (sub[r1] - union[r2])
+
+    def learn(improved, gains):
+        for i in np.flatnonzero(improved):
+            if len(archive) >= n_pop:
+                archive[rng.integers(len(archive))] = pop[i].copy()
+            else:
+                archive.append(pop[i].copy())
+        history.update(f_scale[improved], cr[improved], gains[improved])
+
+    return binomial_crossover(sub, donors, cr, rng), learn
+
+
+def _slice_de_trials(pop, fit, group, rng, pool):
+    n_pop = len(pop)
+    n_slice = max(1, int(0.1 * n_pop))
+    ranked = pop[np.argsort(fit, kind="stable")][:, group]
+    drawn, cr = pool.draw(n_pop, rng)
+    donors = eade_mutation(ranked, n_slice, n_pop, rng)
+    trials = binomial_crossover(pop[:, group], donors, cr, rng)
+    return trials, lambda improved, gains: pool.record(drawn, improved)
+
+
+def _triangular_de_trials(pop, fit, group, rng, state):
+    n_pop = len(pop)
+    sub = pop[:, group]
+    # Three distinct members per row, the row's own member allowed.
+    trio = np.argsort(rng.random((n_pop, n_pop)), axis=1)[:, :3]
+    trio = np.take_along_axis(trio, np.argsort(fit[trio], axis=1, kind="stable"), axis=1)
+    best, middle, worst = sub[trio[:, 0]], sub[trio[:, 1]], sub[trio[:, 2]]
+    center = (best + middle + worst) / 3.0
+    f_scale = rng.uniform(F_LOW, F_HIGH, size=(n_pop, 1))
+    donors = center + f_scale * (best - worst)
+    trials = binomial_crossover(sub, donors, TRIANGULAR_CR, rng)
+    return trials, lambda improved, gains: None
+
+
+def _generation(strategy, state, pop, fit, group, objective, rng) -> float:
+    """One generation of ``strategy`` on ``group``; returns the summed gain.
+
+    Coordinates outside ``group`` keep their parent values, so only the
+    group needs reflecting.
+    """
+    sub_trials, learn = strategy(pop, fit, group, rng, state)
+    trials = pop.copy()
+    trials[:, group] = reflect_into_bounds(sub_trials, objective.bounds)
+    values = objective.evaluate_batch(trials)
+    improved = values < fit
+    gains = np.maximum(fit - values, 0.0)
+    learn(improved, gains)
+    pop[improved] = trials[improved]
+    fit[improved] = values[improved]
+    return float(gains.sum())
+
+
+# ---- main loop ------------------------------------------------------------
+
+
+def mlshade_spa(
+    objective: TrackedObjective,
+    rng: np.random.Generator,
+    population_size: int,
+    group_size_target: int = 100,
+) -> TrackedObjective:
+    """Quota-scheduled hybrid of three DE strategies plus a local phase.
+
+    Each cycle mutates the coordinates in random groups of about
+    ``group_size_target``.
+    """
+    if population_size < 5:
+        raise ValueError("population_size must be at least 5")
+    dim = objective.dimension
+    bounds = objective.bounds
+    objective.population_size = population_size
+
+    pop = init_population(population_size, dim, bounds, rng)
+    fit = np.full(population_size, np.inf)
+    n_first = min(population_size, objective.remaining)
+    if n_first > 0:
+        fit[:n_first] = objective.evaluate_batch(pop[:n_first])
+
+    history = SuccessHistory(HISTORY_SIZE)
+    archive: list[np.ndarray] = []
+    pool = CrossoverRatePool()
+    local_state = MmtsState(step=MMTS_RESTART_FRACTION * bounds.width)
+    n_groups = max(1, math.ceil(dim / group_size_target))
+    strategies = (
+        (_history_de_trials, (history, archive)),
+        (_slice_de_trials, pool),
+        (_triangular_de_trials, None),
+    )
+    rates = np.zeros(len(strategies))
+
+    while objective.remaining > 0:
+        partition = random_dimension_grouping(dim, min(n_groups, dim), rng)
         n_pop = len(pop)
-        sub = pop[:, group]
-        f_scale, cr = history.sample(n_pop, rng)
-        top = max(1, int(self.p_best_fraction * n_pop))
-        pbest = sub[np.argsort(fit, kind="stable")[rng.integers(top, size=n_pop)]]
-        union = np.vstack([pop, *archive])[:, group]
-        r1, r2 = pick_distinct(n_pop, (n_pop, len(union)), rng).T
-        f = f_scale[:, None]
-        donors = sub + f * (pbest - sub) + f * (sub[r1] - union[r2])
+        cycle_quota = min(CYCLE_GENERATIONS * n_pop, objective.remaining)
+        ea_quota = cycle_quota - int(round(LOCAL_FRACTION * cycle_quota))
+        quotas = np.floor(quota_weights(rates) * ea_quota).astype(int)
 
-        def learn(improved, gains):
-            for i in np.flatnonzero(improved):
-                if len(archive) >= n_pop:
-                    archive[rng.integers(len(archive))] = pop[i].copy()
-                else:
-                    archive.append(pop[i].copy())
-            history.update(f_scale[improved], cr[improved], gains[improved])
+        spent_total = 0
+        slice_generations = 0
+        for s, (strategy, state) in enumerate(strategies):
+            spent = 0
+            gained = 0.0
+            cursor = 0
+            while spent + n_pop <= quotas[s] and objective.remaining >= n_pop:
+                group = partition[cursor % len(partition)]
+                cursor += 1
+                gained += _generation(strategy, state, pop, fit, group, objective, rng)
+                spent += n_pop
+                if s == 1:
+                    slice_generations += 1
+                    if slice_generations % POOL_PERIOD == 0:
+                        pool.refresh()
+            rates[s] = gained / spent if spent else 0.0
+            spent_total += spent
 
-        return binomial_crossover(sub, donors, cr, rng), learn
-
-    def _slice_de_trials(self, pop, fit, group, rng, pool):
-        n_pop = len(pop)
-        n_slice = max(1, int(0.1 * n_pop))
-        ranked = pop[np.argsort(fit, kind="stable")][:, group]
-        drawn, cr = pool.draw(n_pop, rng)
-        donors = eade_mutation(ranked, n_slice, n_pop, rng)
-        trials = binomial_crossover(pop[:, group], donors, cr, rng)
-        return trials, lambda improved, gains: pool.record(drawn, improved)
-
-    def _triangular_de_trials(self, pop, fit, group, rng, state):
-        n_pop = len(pop)
-        sub = pop[:, group]
-        # Three distinct members per row, the row's own member allowed.
-        trio = np.argsort(rng.random((n_pop, n_pop)), axis=1)[:, :3]
-        trio = np.take_along_axis(trio, np.argsort(fit[trio], axis=1, kind="stable"), axis=1)
-        best, middle, worst = sub[trio[:, 0]], sub[trio[:, 1]], sub[trio[:, 2]]
-        center = (best + middle + worst) / 3.0
-        f_scale = rng.uniform(self.f_low, self.f_high, size=(n_pop, 1))
-        donors = center + f_scale * (best - worst)
-        trials = binomial_crossover(sub, donors, self.triangular_cr, rng)
-        return trials, lambda improved, gains: None
-
-    def _generation(self, strategy, state, pop, fit, group, objective, rng) -> float:
-        """One generation of ``strategy`` on ``group``; returns the summed gain.
-
-        Coordinates outside ``group`` keep their parent values, so only the
-        group needs reflecting.
-        """
-        sub_trials, learn = strategy(pop, fit, group, rng, state)
-        trials = pop.copy()
-        trials[:, group] = reflect_into_bounds(sub_trials, objective.bounds)
-        values = objective.evaluate_batch(trials)
-        improved = values < fit
-        gains = np.maximum(fit - values, 0.0)
-        learn(improved, gains)
-        pop[improved] = trials[improved]
-        fit[improved] = values[improved]
-        return float(gains.sum())
-
-    # ---- main loop ------------------------------------------------------
-
-    def run(
-        self,
-        objective: TrackedObjective,
-        rng: np.random.Generator,
-        population_size: int,
-    ):
-        if population_size < 5:
-            raise ValueError("population_size must be at least 5")
-        dim = objective.dimension
-        bounds = objective.bounds
-        objective.population_size = population_size
-
-        pop = init_population(population_size, dim, bounds, rng)
-        fit = np.full(population_size, np.inf)
-        n_first = min(population_size, objective.remaining)
-        if n_first > 0:
-            fit[:n_first] = objective.evaluate_batch(pop[:n_first])
-
-        history = SuccessHistory(self.history_size)
-        archive: list[np.ndarray] = []
-        pool = CrossoverRatePool(self.pool_values)
-        local_state = MmtsState(step=0.4 * bounds.width)
-        n_groups = max(1, math.ceil(dim / self.group_size_target))
-        strategies = (
-            (self._history_de_trials, (history, archive)),
-            (self._slice_de_trials, pool),
-            (self._triangular_de_trials, None),
-        )
-        rates = np.zeros(len(strategies))
-
-        while objective.remaining > 0:
-            partition = random_dimension_grouping(dim, min(n_groups, dim), rng)
-            n_pop = len(pop)
-            cycle_quota = min(self.cycle_generations * n_pop, objective.remaining)
-            ea_quota = cycle_quota - int(round(self.local_fraction * cycle_quota))
-            weights = self.quota_weights(rates, self.quota_floor)
-            quotas = np.floor(weights * ea_quota).astype(int)
-
-            spent_total = 0
-            slice_generations = 0
-            for s, (strategy, state) in enumerate(strategies):
-                spent = 0
-                gained = 0.0
-                cursor = 0
-                while (
-                    spent + n_pop <= quotas[s] and objective.remaining >= n_pop
-                ):
-                    group = partition[cursor % len(partition)]
-                    cursor += 1
-                    gained += self._generation(
-                        strategy, state, pop, fit, group, objective, rng
-                    )
-                    spent += n_pop
-                    if s == 1:
-                        slice_generations += 1
-                        if slice_generations % self.pool_period == 0:
-                            pool.refresh()
-                rates[s] = gained / spent if spent else 0.0
-                spent_total += spent
-
-            local_budget = min(cycle_quota - spent_total, objective.remaining)
-            if local_budget > 0:
-                best_i = int(np.argmin(fit))
-                x_new, f_new, _ = mmts_local_search(
-                    objective, pop[best_i], fit[best_i], local_state, local_budget
-                )
-                worst_i = int(np.argmax(fit))
-                if f_new < fit[worst_i]:
-                    pop[worst_i] = x_new
-                    fit[worst_i] = f_new
-
-            target = linear_pop_size_reduction(
-                objective.budget, population_size, self.min_pop
+        local_budget = min(cycle_quota - spent_total, objective.remaining)
+        if local_budget > 0:
+            best_i = int(np.argmin(fit))
+            x_new, f_new, _ = mmts_local_search(
+                objective, pop[best_i], fit[best_i], local_state, local_budget
             )
-            if target < len(pop):
-                pop, fit = shrink_population(pop, fit, target)
-                while len(archive) > target:
-                    archive.pop(int(rng.integers(len(archive))))
-                objective.population_size = target
+            worst_i = int(np.argmax(fit))
+            if f_new < fit[worst_i]:
+                pop[worst_i] = x_new
+                fit[worst_i] = f_new
 
-        return objective
+        target = linear_pop_size_reduction(objective.budget, population_size)
+        if target < len(pop):
+            pop, fit = shrink_population(pop, fit, target)
+            while len(archive) > target:
+                archive.pop(int(rng.integers(len(archive))))
+            objective.population_size = target
+
+    return objective

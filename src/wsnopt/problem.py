@@ -33,6 +33,8 @@ RAYLEIGH_UNIT_MEAN_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per tridiagonal solve of the correlated kernel; a batch is solved
 # in chunks of about this many, which bounds the solve's temporaries.
 _CHUNK_ELEMENTS = 1 << 16
+# Received vectors simulated per draw of ``monte_carlo_error_rate``.
+_SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,6 @@ def monte_carlo_error_rate(
     g: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 1 << 16,
 ) -> float:
     """Empirical fusion error rate from simulated received vectors.
 
@@ -267,7 +268,7 @@ def monte_carlo_error_rate(
     misses = 0
     remaining = n_samples
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_SAMPLE_CHUNK, remaining)
         z = rng.standard_normal((n, len(a)))
         noise = z @ chol.T
         # Under the null hypothesis the received vector is pure noise.

@@ -16,6 +16,9 @@ import numpy as np
 
 from .evo import binomial_crossover, pick_distinct, reflect_into_bounds
 
+# Members of each group's subpopulation.
+POP_SIZE = 30
+
 
 def strategy_success_probability(ns1: int, nf1: int, ns2: int, nf2: int) -> float:
     """Relative success rate of strategy one, clamped away from 0 and 1."""
@@ -39,15 +42,8 @@ def weighted_crossover_mean(cr_values, improvements) -> float:
 class SansdeSubsolver:
     """One subpopulation generation per ``step``; lazy first evaluation."""
 
-    def __init__(
-        self,
-        view,
-        pop_size: int = 30,
-        strategy_update_period: int = 50,
-        cr_update_period: int = 25,
-    ):
+    def __init__(self, view, strategy_update_period: int = 50, cr_update_period: int = 25):
         self.view = view
-        self.pop_size = int(pop_size)
         self.strategy_update_period = int(strategy_update_period)
         self.cr_update_period = int(cr_update_period)
         self.p_strategy = 0.5
@@ -63,10 +59,10 @@ class SansdeSubsolver:
     def _initialize(self, rng: np.random.Generator):
         bounds = self.view.bounds
         d = self.view.dimension
-        self.positions = rng.uniform(bounds.lower, bounds.upper, (self.pop_size, d))
+        self.positions = rng.uniform(bounds.lower, bounds.upper, (POP_SIZE, d))
         self.positions[0] = self.view.current()
-        self.fitness = np.full(self.pop_size, np.inf)
-        n = min(self.pop_size, self.view.remaining)
+        self.fitness = np.full(POP_SIZE, np.inf)
+        n = min(POP_SIZE, self.view.remaining)
         if n > 0:
             values = self.view.evaluate_batch(self.positions[:n])
             self.fitness[:n] = values
@@ -83,7 +79,7 @@ class SansdeSubsolver:
         if self.positions is None:
             self._initialize(rng)
             return
-        n = min(self.pop_size, self.view.remaining)
+        n = min(POP_SIZE, self.view.remaining)
         if n <= 0:
             return
         pop = self.positions
@@ -91,7 +87,7 @@ class SansdeSubsolver:
         scale = scale[:, None]
         crs = np.clip(rng.normal(self.cr_mean, 0.1, n), 0.0, 1.0)
         used_rand = rng.random(n) < self.p_strategy
-        a, b, c = pick_distinct(n, (self.pop_size,) * 3, rng).T
+        a, b, c = pick_distinct(n, (POP_SIZE,) * 3, rng).T
         # rand/1 adds F*(b - c) to member a; current-to-best/1 adds F*(a - b)
         # to the row pulled toward the best member.
         parents = pop[:n]
@@ -137,7 +133,3 @@ def _outcome_counts(first: np.ndarray, improved: np.ndarray) -> np.ndarray:
         np.sum(~first & improved),
         np.sum(~first & ~improved),
     ])
-
-
-def make_sansde_subsolver(view, rng=None, pop_size: int = 30):
-    return SansdeSubsolver(view, pop_size=pop_size)

@@ -13,24 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cc import ContributionScheduler, RoundRobinScheduler, cc_optimize
-from .cmaes import make_cmaes_subsolver
-from .eade import EadeSolver
+from .cmaes import CmaesSubsolver
+from .eade import eade
 from .evo import BudgetExhausted, TrackedObjective
 from .grouping import dgsc_group, rdg3_group
-from .mlshade import MlshadeSpaSolver
-from .sansde import make_sansde_subsolver
-
-
-def solve_eade(
-    objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> TrackedObjective:
-    return EadeSolver().run(objective, rng, population_size)
-
-
-def solve_mlshade_spa(
-    objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> TrackedObjective:
-    return MlshadeSpaSolver().run(objective, rng, population_size)
+from .mlshade import mlshade_spa
+from .sansde import SansdeSubsolver
 
 
 def solve_cbcc_rdg3(
@@ -38,7 +26,7 @@ def solve_cbcc_rdg3(
 ) -> TrackedObjective:
     """Capped recursive grouping, then contribution-guided coevolution."""
     try:
-        decomposition = rdg3_group(objective, size_cap=50, separable_pack=100)
+        decomposition = rdg3_group(objective)
     except BudgetExhausted:
         return objective
     if objective.remaining <= 0:
@@ -46,7 +34,7 @@ def solve_cbcc_rdg3(
     return cc_optimize(
         objective,
         decomposition.groups,
-        make_cmaes_subsolver,
+        CmaesSubsolver,
         scheduler=ContributionScheduler(),
         rng=rng,
         initial=objective.best_x,
@@ -67,7 +55,7 @@ def solve_dgsc_decc(
     return cc_optimize(
         objective,
         decomposition.groups,
-        make_sansde_subsolver,
+        SansdeSubsolver,
         scheduler=RoundRobinScheduler(),
         rng=rng,
         initial=objective.best_x,
@@ -76,19 +64,11 @@ def solve_dgsc_decc(
 
 
 SOLVERS = {
-    "eade": solve_eade,
-    "mlshade-spa": solve_mlshade_spa,
+    "eade": eade,
+    "mlshade-spa": mlshade_spa,
     "cbcc-rdg3": solve_cbcc_rdg3,
     "dgsc-decc": solve_dgsc_decc,
 }
-
-
-def get_solver(name: str):
-    try:
-        return SOLVERS[name]
-    except KeyError:
-        known = ", ".join(sorted(SOLVERS))
-        raise KeyError(f"unknown solver {name!r}; choose one of: {known}") from None
 
 
 def solve(
@@ -97,4 +77,10 @@ def solve(
     rng: np.random.Generator,
     population_size: int,
 ) -> TrackedObjective:
-    return get_solver(name)(objective, rng, population_size)
+    """Run the solver registered as ``name`` on ``objective``."""
+    try:
+        solver = SOLVERS[name]
+    except KeyError:
+        known = ", ".join(sorted(SOLVERS))
+        raise KeyError(f"unknown solver {name!r}; choose one of: {known}") from None
+    return solver(objective, rng, population_size)

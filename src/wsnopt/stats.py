@@ -16,7 +16,6 @@ from importlib import resources
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 ALGORITHM_ORDER = ("mlshade-spa", "dgsc-decc", "cbcc-rdg3", "eade")
 
@@ -42,6 +41,20 @@ class WilcoxonResult:
     exact: bool
 
 
+def _mean_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1 along the last axis, ties sharing their mean rank.
+
+    A value with ``less`` smaller entries and ``ties`` equal ones (itself
+    included) holds ranks ``less + 1`` to ``less + ties``, whose mean is
+    ``less + (ties + 1) / 2``.
+    """
+    column = values[..., :, None]
+    row = values[..., None, :]
+    less = np.count_nonzero(row < column, axis=-1)
+    ties = np.count_nonzero(row == column, axis=-1)
+    return less + 0.5 * (ties + 1)
+
+
 def _validated_matrix(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
@@ -58,7 +71,7 @@ def friedman_ranks(matrix) -> FriedmanResult:
     the ordinal placement of each column (1 = best).
     """
     matrix = _validated_matrix(matrix)
-    row_ranks = rankdata(matrix, axis=1)
+    row_ranks = _mean_ranks(matrix)
     average = row_ranks.mean(axis=0)
     order = np.empty(len(average), dtype=int)
     order[np.argsort(average, kind="stable")] = np.arange(1, len(average) + 1)
@@ -80,19 +93,21 @@ def _exact_p_value(ranks: np.ndarray, statistic: float, n: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-def wilcoxon_signed_rank(x, y, continuity: bool = True) -> WilcoxonResult:
+def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     """Two-sided paired signed-rank test.
 
     Zero differences are dropped.  The exact distribution is used up to 25
     untied differences; otherwise a normal approximation with tie
-    correction in the variance and an optional continuity correction.
-    All-zero differences are reported as a degenerate comparison with
-    p = 1 rather than an error.
+    correction in the variance and a continuity correction.  All-zero
+    differences are reported as a degenerate comparison with p = 1 rather
+    than an error.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("need two one-dimensional samples of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("samples must be finite")
     diffs = x - y
     diffs = diffs[diffs != 0.0]
     n = len(diffs)
@@ -102,7 +117,7 @@ def wilcoxon_signed_rank(x, y, continuity: bool = True) -> WilcoxonResult:
         raise ValueError("need at least 5 nonzero differences")
 
     magnitudes = np.abs(diffs)
-    ranks = rankdata(magnitudes)
+    ranks = _mean_ranks(magnitudes)
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)
@@ -120,32 +135,26 @@ def wilcoxon_signed_rank(x, y, continuity: bool = True) -> WilcoxonResult:
     ) / 48.0
     if variance <= 0.0:
         return WilcoxonResult(1.0, statistic, n, degenerate=True, exact=False)
-    shift = 0.5 if continuity else 0.0
-    z = (statistic - mean + shift) / np.sqrt(variance)
+    z = (statistic - mean + 0.5) / np.sqrt(variance)
     p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonResult(p, statistic, n, False, exact=False)
 
 
-def paired_rank_tests(
-    matrix, baseline_column: int, continuity: bool = True
-) -> dict[int, WilcoxonResult]:
+def paired_rank_tests(matrix, baseline_column: int) -> dict[int, WilcoxonResult]:
     """Signed-rank tests of every column against a baseline, on case ranks.
 
-    Each case row is converted to ranks first, then each non-baseline
-    column's rank series is paired with the baseline's.
+    Each case row is converted to ranks first (the row ranks of
+    ``friedman_ranks``), then each non-baseline column's rank series is
+    paired with the baseline's.
     """
-    matrix = _validated_matrix(matrix)
-    if not 0 <= baseline_column < matrix.shape[1]:
+    row_ranks = friedman_ranks(matrix).row_ranks
+    if not 0 <= baseline_column < row_ranks.shape[1]:
         raise ValueError("baseline column out of range")
-    row_ranks = rankdata(matrix, axis=1)
-    results = {}
-    for col in range(matrix.shape[1]):
-        if col == baseline_column:
-            continue
-        results[col] = wilcoxon_signed_rank(
-            row_ranks[:, col], row_ranks[:, baseline_column], continuity
-        )
-    return results
+    return {
+        col: wilcoxon_signed_rank(row_ranks[:, col], row_ranks[:, baseline_column])
+        for col in range(row_ranks.shape[1])
+        if col != baseline_column
+    }
 
 
 def load_reference_table():

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnopt.eade import EadeSolver
+from wsnopt.eade import eade
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.grouping import dgsc_group, rdg3_group
 from wsnopt.harness import ExperimentConfig, derive_seed, run_experiment
@@ -51,7 +51,7 @@ def run_one(algorithm, config, seed, max_evals, population):
     objective = TrackedObjective(problem, max_evals)
     rng = np.random.default_rng(seed)
     if algorithm == "baseline-de":
-        result = EadeSolver(mix_probability=0.0).run(objective, rng, population)
+        result = eade(objective, rng, population, mix_probability=0.0)
     else:
         result = solve(algorithm, objective, rng, population)
     return problem, result

@@ -10,11 +10,10 @@ from wsnopt.cc import (
     SubproblemView,
     cc_optimize,
 )
-from wsnopt.cmaes import CmaesSubsolver, make_cmaes_subsolver
+from wsnopt.cmaes import CmaesSubsolver
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.sansde import (
     SansdeSubsolver,
-    make_sansde_subsolver,
     strategy_success_probability,
     weighted_crossover_mean,
 )
@@ -102,7 +101,7 @@ class TestCmaesSubsolver:
         result = cc_optimize(
             obj,
             [np.arange(5)],
-            make_cmaes_subsolver,
+            CmaesSubsolver,
             rng=np.random.default_rng(11),
         )
         assert result.best_f < 1e-8
@@ -180,7 +179,7 @@ class TestSansdeSubsolver:
         result = cc_optimize(
             obj,
             [[0], [1], [2], [3]],
-            make_sansde_subsolver,
+            SansdeSubsolver,
             rng=np.random.default_rng(5),
         )
         assert result.best_f < 1e-6
@@ -194,7 +193,7 @@ class TestCcOptimize:
         result = cc_optimize(
             obj,
             [[0, 1], [2]],
-            make_cmaes_subsolver,
+            CmaesSubsolver,
             rng=np.random.default_rng(0),
             initial=seed_point,
         )
@@ -209,7 +208,7 @@ class TestCcOptimize:
         result = cc_optimize(
             obj,
             [[0, 1], [2]],
-            make_cmaes_subsolver,
+            CmaesSubsolver,
             scheduler=ContributionScheduler(),
             rng=np.random.default_rng(3),
         )
@@ -221,7 +220,7 @@ class TestCcOptimize:
         cc_optimize(
             obj,
             [[0], [1]],
-            make_sansde_subsolver,
+            SansdeSubsolver,
             rng=np.random.default_rng(0),
             population_size=25,
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wsnopt.eade import CrossoverRatePool, EadeSolver, eade_mutation
+from wsnopt.eade import POOL_VALUES, CrossoverRatePool, eade, eade_mutation
 from wsnopt.evo import (
     Bounds,
     FunctionProblem,
@@ -49,11 +49,11 @@ class TestCrossoverRatePool:
         assert pool.successes.sum() == 0.0 and pool.failures.sum() == 0.0
 
     def test_draw_returns_pool_values(self):
-        pool = CrossoverRatePool((0.05, 0.5, 0.95))
+        pool = CrossoverRatePool()
         rng = np.random.default_rng(2)
         indices, rates = pool.draw(100, rng)
         assert set(rates.tolist()) == {0.05, 0.5, 0.95}
-        np.testing.assert_array_equal(rates, np.array(pool.values)[indices])
+        np.testing.assert_array_equal(rates, np.array(POOL_VALUES)[indices])
 
     def test_untried_rates_can_recover_via_uniform_fallback(self):
         pool = CrossoverRatePool()
@@ -97,7 +97,7 @@ class TestEadeSolver:
     def test_improves_sphere_and_respects_budget(self):
         problem = sphere_problem()
         obj = TrackedObjective(problem, 3000)
-        result = EadeSolver().run(obj, np.random.default_rng(7), 30)
+        result = eade(obj, np.random.default_rng(7), 30)
         assert obj.budget.used == 3000
         first = result.improvements[0][1]
         assert result.best_f < 0.1 * first
@@ -108,7 +108,7 @@ class TestEadeSolver:
     def test_budget_smaller_than_population(self):
         problem = sphere_problem()
         obj = TrackedObjective(problem, 7)
-        result = EadeSolver().run(obj, np.random.default_rng(0), 12)
+        result = eade(obj, np.random.default_rng(0), 12)
         assert obj.budget.used == 7
         assert np.isfinite(result.best_f)
 
@@ -116,15 +116,11 @@ class TestEadeSolver:
         problem = sphere_problem()
         obj = TrackedObjective(problem, 100)
         with pytest.raises(ValueError):
-            EadeSolver(slice_fraction=0.1).run(obj, np.random.default_rng(0), 8)
+            eade(obj, np.random.default_rng(0), 8, slice_fraction=0.1)
 
     def test_deterministic_given_seed(self):
-        r1 = EadeSolver().run(
-            TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20
-        )
-        r2 = EadeSolver().run(
-            TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20
-        )
+        r1 = eade(TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20)
+        r2 = eade(TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20)
         assert r1.best_f == r2.best_f
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
 
@@ -136,8 +132,12 @@ class TestEadeSolver:
         seed = 99
 
         solver_obj = TrackedObjective(sphere_problem(dim, bounds), max_evals)
-        result = EadeSolver(slice_fraction=0.2, mix_probability=0.0).run(
-            solver_obj, np.random.default_rng(seed), n_pop
+        result = eade(
+            solver_obj,
+            np.random.default_rng(seed),
+            n_pop,
+            slice_fraction=0.2,
+            mix_probability=0.0,
         )
 
         rng = np.random.default_rng(seed)
@@ -182,6 +182,6 @@ class TestEadeSolver:
         problem = SpyProblem(
             lambda x: float(np.sum(x * x)), 3, Bounds(-2.0, 2.0)
         )
-        EadeSolver().run(TrackedObjective(problem, 600), np.random.default_rng(5), 15)
+        eade(TrackedObjective(problem, 600), np.random.default_rng(5), 15)
         for X in calls:
             assert X.min() >= -2.0 and X.max() <= 2.0

@@ -127,24 +127,24 @@ class TestReflection:
 class TestPopSizeReduction:
     def test_endpoints_and_midpoint(self):
         budget = EvalBudget(1000)
-        assert linear_pop_size_reduction(budget, 100, 20) == 100
+        assert linear_pop_size_reduction(budget, 100) == 100
         budget.spend(500)
-        assert linear_pop_size_reduction(budget, 100, 20) == 60
+        assert linear_pop_size_reduction(budget, 100) == 60
         budget.spend(500)
-        assert linear_pop_size_reduction(budget, 100, 20) == 20
+        assert linear_pop_size_reduction(budget, 100) == 20
 
     def test_monotone_nonincreasing(self):
         budget = EvalBudget(997)
         sizes = []
         while budget.remaining:
-            sizes.append(linear_pop_size_reduction(budget, 100, 20))
+            sizes.append(linear_pop_size_reduction(budget, 100))
             budget.spend(1)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert min(sizes) >= 20
 
     def test_invalid_floor(self):
         with pytest.raises(ValueError):
-            linear_pop_size_reduction(EvalBudget(10), 10, 20)
+            linear_pop_size_reduction(EvalBudget(10), 10)
 
     def test_shrink_keeps_best_and_order(self):
         pos = np.arange(10, dtype=float)[:, None]

@@ -7,7 +7,6 @@ import pytest
 
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.grouping import (
-    InteractionProbe,
     dg_interaction,
     dgsc_group,
     rdg3_group,
@@ -54,8 +53,7 @@ def group_sets(result):
 class TestDgInteraction:
     def test_product_pair_detected_with_unit_perturbation(self):
         obj = make_objective(product_pairs, 2, bounds=Bounds(0.0, 2.0))
-        probe = InteractionProbe(delta=1.0)
-        interacts, lam = dg_interaction(obj, 0, 1, probe)
+        interacts, lam = dg_interaction(obj, 0, 1, delta=1.0)
         assert interacts
         assert lam == pytest.approx(1.0)
 
@@ -88,8 +86,7 @@ class TestDgInteraction:
 
     def test_threshold_override_can_suppress_detection(self):
         obj = make_objective(product_pairs, 2, bounds=Bounds(0.0, 2.0))
-        probe = InteractionProbe(delta=1.0, threshold=10.0)
-        interacts, lam = dg_interaction(obj, 0, 1, probe)
+        interacts, lam = dg_interaction(obj, 0, 1, delta=1.0, threshold=10.0)
         assert not interacts
         assert lam == pytest.approx(1.0)
 

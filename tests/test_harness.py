@@ -302,6 +302,21 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [1.0]}]}, "correlation"),
+            ({"trace_step": 0}, "trace_step"),
+        ],
+    )
+    def test_run_rejects_out_of_range_values_before_output(
+        self, tmp_path, capsys, overrides, message
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_run_workers_env_override(self, tmp_path, monkeypatch):
         path = write_config(
             tmp_path, name="env.json", output_dir=str(tmp_path / "envrun")
@@ -364,6 +379,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "simplex" in err
         assert "eade" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--sensors", "0", "--epsilon", "0.1"], "num_sensors"),
+         (["--sensors", "8", "--epsilon", "0.7"], "epsilon")],
+    )
+    def test_case_rejects_out_of_range_values_before_output(
+        self, tmp_path, capsys, flags, message
+    ):
+        rc = main(["case", *flags, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
 
     def test_stats_subcommand_on_reference_table(self, capsys):
         from importlib import resources

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
+from wsnopt.eade import CrossoverRatePool
+from wsnopt.evo import SuccessHistory
 from wsnopt.mlshade import (
-    MlshadeSpaSolver,
     MmtsState,
+    _generation,
+    _history_de_trials,
+    _slice_de_trials,
+    _triangular_de_trials,
+    mlshade_spa,
     mmts_local_search,
+    quota_weights,
     random_dimension_grouping,
 )
 
@@ -101,16 +108,16 @@ class TestMmtsLocalSearch:
 
 class TestQuotas:
     def test_equal_weights_without_history(self):
-        weights = MlshadeSpaSolver.quota_weights(np.zeros(3))
+        weights = quota_weights(np.zeros(3))
         np.testing.assert_allclose(weights, [1 / 3] * 3)
 
     def test_floor_plus_proportional_share(self):
-        weights = MlshadeSpaSolver.quota_weights(np.array([1.0, 0.0, 0.0]))
+        weights = quota_weights(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(weights, [0.8, 0.1, 0.1])
         assert weights.sum() == pytest.approx(1.0)
 
     def test_mixed_rates(self):
-        weights = MlshadeSpaSolver.quota_weights(np.array([3.0, 1.0, 0.0]))
+        weights = quota_weights(np.array([3.0, 1.0, 0.0]))
         np.testing.assert_allclose(weights, [0.1 + 0.7 * 0.75, 0.1 + 0.7 * 0.25, 0.1])
 
 
@@ -124,20 +131,16 @@ class TestMaskedGenerations:
 
     @pytest.mark.parametrize("strategy", ["history", "slice", "triangular"])
     def test_trials_only_touch_group_coordinates(self, strategy):
-        from wsnopt.eade import CrossoverRatePool
-        from wsnopt.evo import SuccessHistory
-
         obj, pop, fit, rng = self.setup_generation(3)
         original = pop.copy()
         group = np.array([0, 1])
-        solver = MlshadeSpaSolver()
         if strategy == "history":
-            trials, state = solver._history_de_trials, (SuccessHistory(), [])
+            trials, state = _history_de_trials, (SuccessHistory(), [])
         elif strategy == "slice":
-            trials, state = solver._slice_de_trials, CrossoverRatePool()
+            trials, state = _slice_de_trials, CrossoverRatePool()
         else:
-            trials, state = solver._triangular_de_trials, None
-        solver._generation(trials, state, pop, fit, group, obj, rng)
+            trials, state = _triangular_de_trials, None
+        _generation(trials, state, pop, fit, group, obj, rng)
         # coordinates outside the active group never move, even on replacement
         np.testing.assert_array_equal(pop[:, 2:], original[:, 2:])
         changed = ~np.all(pop[:, :2] == original[:, :2], axis=1)
@@ -147,8 +150,9 @@ class TestMaskedGenerations:
 class TestMlshadeSpaSolver:
     def test_sphere_improvement_and_full_budget(self):
         obj = make_objective(20, 6000)
-        solver = MlshadeSpaSolver(group_size_target=5)
-        result = solver.run(obj, np.random.default_rng(0), population_size=50)
+        result = mlshade_spa(
+            obj, np.random.default_rng(0), population_size=50, group_size_target=5
+        )
         assert result.best_f < 1e-3
         assert obj.budget.used == 6000
         assert result.evals_used == 6000
@@ -156,23 +160,27 @@ class TestMlshadeSpaSolver:
 
     def test_population_shrinks_to_minimum(self):
         obj = make_objective(10, 5000)
-        solver = MlshadeSpaSolver()
-        solver.run(obj, np.random.default_rng(1), population_size=40)
+        mlshade_spa(obj, np.random.default_rng(1), population_size=40)
         assert obj.population_size == 20
 
     def test_budget_smaller_than_population(self):
         obj = make_objective(5, 7)
-        solver = MlshadeSpaSolver()
-        result = solver.run(obj, np.random.default_rng(2), population_size=10)
+        result = mlshade_spa(obj, np.random.default_rng(2), population_size=10)
         assert obj.budget.used == 7
         assert np.isfinite(result.best_f)
 
     def test_deterministic_given_seed(self):
-        r1 = MlshadeSpaSolver(group_size_target=5).run(
-            make_objective(8, 2000), np.random.default_rng(9), population_size=20
+        r1 = mlshade_spa(
+            make_objective(8, 2000),
+            np.random.default_rng(9),
+            population_size=20,
+            group_size_target=5,
         )
-        r2 = MlshadeSpaSolver(group_size_target=5).run(
-            make_objective(8, 2000), np.random.default_rng(9), population_size=20
+        r2 = mlshade_spa(
+            make_objective(8, 2000),
+            np.random.default_rng(9),
+            population_size=20,
+            group_size_target=5,
         )
         assert r1.best_f == r2.best_f
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
@@ -185,8 +193,8 @@ class TestMlshadeSpaSolver:
             return sphere_batch(X)
 
         obj = make_objective(6, 1500, batch_fn=checked_batch)
-        MlshadeSpaSolver(group_size_target=3).run(
-            obj, np.random.default_rng(4), population_size=20
+        mlshade_spa(
+            obj, np.random.default_rng(4), population_size=20, group_size_target=3
         )
         stacked = np.vstack(seen)
         assert stacked.min() >= -5.0
@@ -195,4 +203,4 @@ class TestMlshadeSpaSolver:
     def test_tiny_population_rejected(self):
         obj = make_objective(5, 100)
         with pytest.raises(ValueError):
-            MlshadeSpaSolver().run(obj, np.random.default_rng(0), population_size=4)
+            mlshade_spa(obj, np.random.default_rng(0), population_size=4)

@@ -1,11 +1,14 @@
 """End-to-end checks of the named solver configurations on small problems."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wsnopt.evo import TrackedObjective
 from wsnopt.problem import PowerAllocationProblem, WsnConfig
-from wsnopt.solvers import SOLVERS, get_solver, solve
+from wsnopt.solvers import SOLVERS, solve
 
 
 def small_problem(num_sensors=8, epsilon=0.1, correlation=0.0, seed=42):
@@ -24,7 +27,12 @@ class TestRegistry:
 
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(KeyError, match="eade"):
-            get_solver("gradient-descent")
+            solve(
+                "gradient-descent",
+                TrackedObjective(small_problem(), max_evals=10),
+                np.random.default_rng(0),
+                population_size=20,
+            )
 
 
 class TestSolversOnSensorProblem:
@@ -69,3 +77,13 @@ class TestSolversOnSensorProblem:
             )
             outcomes.append(result.best_f)
         assert outcomes[0] == outcomes[1]
+
+
+def test_readme_library_use_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3
+    assert all(np.isfinite(float(value)) for value in printed)

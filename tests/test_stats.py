@@ -1,13 +1,18 @@
 """Tests for the nonparametric comparison statistics."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import wsnopt
 from wsnopt.stats import (
     ALGORITHM_ORDER,
+    _mean_ranks,
     friedman_ranks,
     load_reference_table,
     paired_rank_tests,
@@ -69,6 +74,35 @@ class TestFriedmanRanks:
             friedman_ranks(bad)
 
 
+class TestMeanRanks:
+    def test_equal_to_scipy_rankdata_on_tied_inputs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            # Few distinct values, so most draws hold ties.
+            values = rng.integers(0, 6, size=n) * rng.choice([0.5, 1.0, 3.25])
+            np.testing.assert_array_equal(
+                _mean_ranks(values), scipy.stats.rankdata(values)
+            )
+            matrix = rng.integers(0, 4, size=(n, 5)) / 7.0
+            np.testing.assert_array_equal(
+                _mean_ranks(matrix), scipy.stats.rankdata(matrix, axis=1)
+            )
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # Run from the directory holding the package this suite imports.
+        source = Path(wsnopt.__file__).resolve().parents[1]
+        code = "import sys, wsnopt; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=source,
+        ).stdout
+        assert out.strip() == "False"
+
+
 class TestWilcoxonSignedRank:
     def test_identical_samples_are_degenerate(self):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -78,6 +112,15 @@ class TestWilcoxonSignedRank:
     def test_too_few_nonzero_differences(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.arange(8.0)
+        y = np.zeros(8)
+        for first, second in ((np.append(x, bad), np.append(y, 1.0)),
+                              (np.append(x, 1.0), np.append(y, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                wilcoxon_signed_rank(first, second)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -104,7 +147,7 @@ class TestWilcoxonSignedRank:
         rng = np.random.default_rng(4)
         x = rng.normal(0.3, 1.0, size=40)
         y = rng.normal(0.0, 1.0, size=40)
-        ours = wilcoxon_signed_rank(x, y, continuity=True)
+        ours = wilcoxon_signed_rank(x, y)
         reference = scipy.stats.wilcoxon(
             x, y, alternative="two-sided", method="approx", correction=True
         )
