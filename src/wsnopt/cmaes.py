@@ -3,9 +3,11 @@
 Standard (mu/mu_w, lambda) CMA-ES with cumulative step-size adaptation and
 rank-one plus rank-mu covariance updates.  Candidates are reflected into
 the box before evaluation and the update uses the reflected positions.
-The eigendecomposition is refreshed lazily on an evaluation-count
-schedule.  Numerical breakdown (non-finite state or a non-positive
-covariance spectrum) resets the search to the isotropic start; each reset
+After every full update the covariance C is factored afresh as C = A·Aᵀ
+with a lower Cholesky factor A: steps are sampled as A·z, and the σ-path
+is whitened by the triangular solve A⁻¹y, so ‖A⁻¹y‖² = yᵀC⁻¹y (Krause,
+Arbonès & Igel, NeurIPS 2016).  Numerical breakdown (non-finite state or a
+failed factorization) resets the search to the isotropic start; each reset
 is counted in ``CmaesSubsolver.resets``, which the benchmark's
 ``cmaes.resets`` metric reads.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .evo import reflect_into_bounds
 
@@ -57,44 +60,22 @@ class CmaesSubsolver:
         self.mean = np.asarray(mean, dtype=float).copy()
         self.sigma = self.sigma0
         self.cov = np.eye(self.n)
+        self.factor = np.eye(self.n)
         self.path_sigma = np.zeros(self.n)
         self.path_cov = np.zeros(self.n)
         self.evals_done = 0
-        self.evals_at_decomposition = -1
-        self._decompose()
-
-    def _decompose(self) -> bool:
-        self.cov = 0.5 * (self.cov + self.cov.T)
-        try:
-            eigenvalues, basis = np.linalg.eigh(self.cov)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(eigenvalues)) or eigenvalues[0] <= 0.0:
-            return False
-        self.scales = np.sqrt(eigenvalues)
-        self.basis = basis
-        self.inv_sqrt_cov = (basis / self.scales[None, :]) @ basis.T
-        self.evals_at_decomposition = self.evals_done
-        return True
 
     def _reset(self):
         self.resets += 1
         mean = self.mean if np.all(np.isfinite(self.mean)) else self.view.current()
         self._fresh_state(mean)
 
-    def _maybe_refresh_decomposition(self):
-        stale_after = self.lam / ((self.c1 + self.cmu) * self.n * 10.0)
-        if self.evals_done - self.evals_at_decomposition > stale_after:
-            if not self._decompose():
-                self._reset()
-
     def step(self, rng: np.random.Generator) -> None:
         n_cand = min(self.lam, self.view.remaining)
         if n_cand <= 0:
             return
-        self._maybe_refresh_decomposition()
         z = rng.standard_normal((n_cand, self.n))
-        steps = z @ (self.basis * self.scales[None, :]).T
+        steps = z @ self.factor.T
         candidates = reflect_into_bounds(self.mean[None, :] + self.sigma * steps,
                                          self.view.bounds)
         values = self.view.evaluate_batch(candidates)
@@ -112,7 +93,7 @@ class CmaesSubsolver:
 
         self.path_sigma = (1.0 - self.cs) * self.path_sigma + math.sqrt(
             self.cs * (2.0 - self.cs) * self.mueff
-        ) * (self.inv_sqrt_cov @ move_mean)
+        ) * solve_triangular(self.factor, move_mean, lower=True, check_finite=False)
         generations = self.evals_done / self.lam
         norm_ps = float(np.linalg.norm(self.path_sigma))
         hsig = norm_ps / math.sqrt(
@@ -136,8 +117,14 @@ class CmaesSubsolver:
             (self.cs / self.ds) * (norm_ps / self.chi_n - 1.0)
         )
 
+        try:
+            self.factor = cholesky(self.cov, lower=True, check_finite=False)
+        except LinAlgError:
+            self._reset()
+            return
         state_bad = (
-            not np.all(np.isfinite(self.mean))
+            not np.all(np.isfinite(self.factor))
+            or not np.all(np.isfinite(self.mean))
             or not np.isfinite(self.sigma)
             or self.sigma > 1e7 * self.sigma0
             or self.sigma <= 0.0

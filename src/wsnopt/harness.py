@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evo import TrackedObjective
+from .evo import MIN_POPULATION, TrackedObjective
 from .problem import PowerAllocationProblem, WsnConfig, evaluate_rows
 from .solvers import SOLVERS, solve
 from .stats import friedman_ranks, paired_rank_tests
@@ -135,6 +135,12 @@ class ExperimentConfig:
             if case.sensors not in self.population_sizes:
                 raise ValueError(
                     f"population size missing for {case.sensors} sensors"
+                    f" (case {case.case_id})"
+                )
+            if ("mlshade-spa" in self.algorithms
+                    and self.population_sizes[case.sensors] < MIN_POPULATION):
+                raise ValueError(
+                    f"mlshade-spa needs a population of at least {MIN_POPULATION}"
                     f" (case {case.case_id})"
                 )
             # Builds the case's problem description, which checks its ranges.

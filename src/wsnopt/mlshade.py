@@ -20,6 +20,7 @@ import numpy as np
 
 from .eade import CrossoverRatePool, eade_mutation
 from .evo import (
+    MIN_POPULATION,
     SuccessHistory,
     TrackedObjective,
     binomial_crossover,
@@ -218,8 +219,8 @@ def mlshade_spa(
     Each cycle mutates the coordinates in random groups of about
     ``group_size_target``.
     """
-    if population_size < 5:
-        raise ValueError("population_size must be at least 5")
+    if population_size < MIN_POPULATION:
+        raise ValueError(f"population_size must be at least {MIN_POPULATION}")
     dim = objective.dimension
     bounds = objective.bounds
     objective.population_size = population_size

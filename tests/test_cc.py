@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from wsnopt.cc import (
     ContextVector,
@@ -29,6 +30,20 @@ def shifted_quadratic(x):
 
 def make_objective(fn, dim, bounds, max_evals):
     return TrackedObjective(FunctionProblem(fn, dim, bounds), max_evals)
+
+
+def rotated_ellipsoid_objective(dim, condition, max_evals):
+    """Ellipsoid with axis scales 1..condition in a random rotated basis."""
+    rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, dim)))
+    scales = condition ** (np.arange(dim) / (dim - 1))
+
+    def batch(X):
+        return ((X @ rotation.T) ** 2) @ scales
+
+    problem = FunctionProblem(
+        lambda x: float(batch(x[None, :])[0]), dim, Bounds(-5.0, 5.0), batch_fn=batch
+    )
+    return TrackedObjective(problem, max_evals)
 
 
 class TestSubproblemView:
@@ -125,12 +140,40 @@ class TestCmaesSubsolver:
         context = ContextVector(np.ones(4), 4.0)
         solver = CmaesSubsolver(SubproblemView(obj, context, range(4)))
         solver.cov = -np.eye(4)
-        assert not solver._decompose()
-        solver.sigma = 123.0
-        solver._reset()
+        solver.step(np.random.default_rng(0))
+        assert obj.remaining > 0
         assert solver.resets == 1
         assert solver.sigma == solver.sigma0
         np.testing.assert_array_equal(solver.cov, np.eye(4))
+        assert np.all(np.isfinite(solver.mean))
+
+    def test_factor_is_the_cholesky_factor_of_the_covariance(self):
+        n = 8
+        obj = rotated_ellipsoid_objective(n, 1e4, 10_000)
+        context = ContextVector(np.full(n, 2.0), obj.evaluate(np.full(n, 2.0)))
+        solver = CmaesSubsolver(SubproblemView(obj, context, range(n)))
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            solver.step(rng)
+        assert solver.resets == 0
+        factor, cov = solver.factor, solver.cov
+        assert not np.allclose(cov, np.eye(n))
+        np.testing.assert_array_equal(factor, np.tril(factor))
+        assert np.all(np.diag(factor) > 0.0)
+        residual = np.tril(factor @ factor.T - cov)
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(np.tril(cov))
+        y = rng.standard_normal(n)
+        whitened = solve_triangular(factor, y, lower=True)
+        assert whitened @ whitened == pytest.approx(y @ np.linalg.solve(cov, y), rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotated_ellipsoid_convergence(self, seed):
+        # Reaching 1e-8 at condition 1e4 needs a correctly whitened step-size path.
+        obj = rotated_ellipsoid_objective(10, 1e4, 20_000)
+        result = cc_optimize(
+            obj, [np.arange(10)], CmaesSubsolver, rng=np.random.default_rng(seed)
+        )
+        assert result.best_f < 1e-8
 
 
 class TestSansdeSubsolver:

@@ -383,7 +383,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--sensors", "0", "--epsilon", "0.1"], "num_sensors"),
-         (["--sensors", "8", "--epsilon", "0.7"], "epsilon")],
+         (["--sensors", "8", "--epsilon", "0.7"], "epsilon"),
+         (["--sensors", "8", "--epsilon", "0.1", "--algo", "mlshade-spa",
+           "--population", "10"], "population")],
     )
     def test_case_rejects_out_of_range_values_before_output(
         self, tmp_path, capsys, flags, message

@@ -165,7 +165,7 @@ class TestMlshadeSpaSolver:
 
     def test_budget_smaller_than_population(self):
         obj = make_objective(5, 7)
-        result = mlshade_spa(obj, np.random.default_rng(2), population_size=10)
+        result = mlshade_spa(obj, np.random.default_rng(2), population_size=20)
         assert obj.budget.used == 7
         assert np.isfinite(result.best_f)
 
@@ -204,3 +204,9 @@ class TestMlshadeSpaSolver:
         obj = make_objective(5, 100)
         with pytest.raises(ValueError):
             mlshade_spa(obj, np.random.default_rng(0), population_size=4)
+
+    def test_population_below_reduction_floor_rejected_before_evaluating(self):
+        obj = make_objective(5, 100)
+        with pytest.raises(ValueError):
+            mlshade_spa(obj, np.random.default_rng(0), population_size=19)
+        assert obj.evals_used == 0
