@@ -122,7 +122,6 @@ def cc_optimize(
     scheduler=None,
     rng: np.random.Generator | None = None,
     initial: np.ndarray | None = None,
-    population_size: int = 1,
 ):
     """Run cooperative coevolution until the evaluation budget is spent.
 
@@ -131,11 +130,11 @@ def cc_optimize(
     must return an object whose ``step(rng)`` advances the subproblem by
     one internal iteration, spending budget through the view.  ``initial``
     seeds the context (it is re-evaluated here); by default a uniform
-    random point is drawn.
+    random point is drawn.  The penalty clock is the tracker's, whatever
+    the subsolvers' generation sizes.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
-    objective.population_size = max(1, int(population_size))
     bounds = objective.bounds
 
     if initial is None:

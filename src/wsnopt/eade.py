@@ -118,13 +118,12 @@ def eade(
         raise ValueError("population too small for the configured slices")
 
     bounds = objective.bounds
-    objective.population_size = n_pop
     pop = init_population(n_pop, objective.dimension, bounds, rng)
     n_first = min(n_pop, objective.remaining)
     fit = np.full(n_pop, np.inf)
     fit[:n_first] = objective.evaluate_batch(pop[:n_first])
 
-    total_generations = max(1, objective.budget.max_evals // n_pop)
+    total_generations = max(1, objective.max_evals // n_pop)
     period = max(1, round(LEARNING_FRACTION * total_generations))
     pool = CrossoverRatePool()
 

@@ -5,7 +5,8 @@ vector, matching the numpy-first style of the rest of the package.  The
 pieces here are the ones every solver needs: bounded uniform initialization,
 whole-population donor-index draws and binomial crossover, reflection bound
 repair, linear population-size reduction, success-history parameter memory,
-and a budget tracker that owns the convergence history.
+and a tracker that owns the evaluation budget, the penalty clock and the
+convergence history.
 """
 
 from __future__ import annotations
@@ -40,27 +41,6 @@ class BudgetExhausted(RuntimeError):
     """Raised when an evaluation is requested past the allowed budget."""
 
 
-class EvalBudget:
-    """Counts objective evaluations against a hard ceiling."""
-
-    def __init__(self, max_evals: int):
-        if max_evals < 1:
-            raise ValueError("max_evals must be positive")
-        self.max_evals = int(max_evals)
-        self.used = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.max_evals - self.used
-
-    def spend(self, n: int):
-        if n > self.remaining:
-            raise BudgetExhausted(
-                f"requested {n} evaluations with only {self.remaining} remaining"
-            )
-        self.used += n
-
-
 class FunctionProblem:
     """Adapter that turns a plain function into an evaluatable problem.
 
@@ -89,17 +69,22 @@ class TrackedObjective:
     """Budget-enforcing evaluator that owns the best-so-far history.
 
     Every evaluation, including decomposition probes, passes through this
-    wrapper and is charged to one shared budget.  The wrapper derives the
-    penalty iteration for each call as ``ceil(k / population_size)`` where
-    ``k`` is the 1-based index of the evaluation, so solvers only need to
-    keep ``population_size`` current.  Probes pin the iteration to 1, which
-    keeps structure detection consistent regardless of when it runs.  Every
-    solver returns the tracker itself as its result.
+    wrapper and is charged to one budget of ``max_evals``; ``evals_used``
+    counts what is spent.  The wrapper is also the only penalty clock: the
+    iteration of the ``k``-th evaluation (1-based) is
+    ``ceil(k / population_size)``, with the period fixed when the tracker is
+    built, whatever population a solver runs or shrinks to.  Probes pin the
+    iteration to 1, which keeps structure detection consistent regardless of
+    when it runs.  Solvers only read these fields, and every solver returns
+    the tracker itself as its result.
     """
 
     def __init__(self, problem, max_evals: int, population_size: int = 1):
+        if max_evals < 1:
+            raise ValueError("max_evals must be positive")
         self.problem = problem
-        self.budget = EvalBudget(max_evals)
+        self.max_evals = int(max_evals)
+        self.evals_used = 0
         self.population_size = max(1, int(population_size))
         self.best_x: np.ndarray | None = None
         self.best_f = np.inf
@@ -117,7 +102,7 @@ class TrackedObjective:
 
     @property
     def remaining(self) -> int:
-        return self.budget.remaining
+        return self.max_evals - self.evals_used
 
     def _record(self, X: np.ndarray, values: np.ndarray, feasible, powers, start: int):
         better = values < self.best_f
@@ -140,8 +125,12 @@ class TrackedObjective:
         n = len(X)
         if n == 0:
             return np.empty(0)
-        start = self.budget.used
-        self.budget.spend(n)
+        if n > self.remaining:
+            raise BudgetExhausted(
+                f"requested {n} evaluations with only {self.remaining} remaining"
+            )
+        start = self.evals_used
+        self.evals_used += n
         if pinned:
             iterations = np.ones(n)
         else:
@@ -162,10 +151,6 @@ class TrackedObjective:
 
     def probe(self, x: np.ndarray) -> float:
         return float(self.probe_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    @property
-    def evals_used(self) -> int:
-        return self.budget.used
 
     @property
     def solution(self) -> np.ndarray | None:
@@ -232,15 +217,15 @@ def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.clip(x, low, high)
 
 
-def linear_pop_size_reduction(budget: EvalBudget, n_init: int) -> int:
+def linear_pop_size_reduction(used: int, max_evals: int, n_init: int) -> int:
     """Target population size, shrinking linearly with budget consumption.
 
-    The size falls from ``n_init`` at the start to ``MIN_POPULATION`` when
-    the budget is spent.
+    The size falls from ``n_init`` when none of the ``max_evals`` evaluations
+    are ``used`` to ``MIN_POPULATION`` when all of them are.
     """
     if MIN_POPULATION > n_init:
         raise ValueError("the minimum population cannot exceed n_init")
-    frac = budget.used / budget.max_evals
+    frac = used / max_evals
     # Round half up so the schedule is platform independent.
     return int(np.floor(n_init - (n_init - MIN_POPULATION) * frac + 0.5))
 

@@ -135,7 +135,7 @@ def _recursive_grouping(
     objective: TrackedObjective, cap: int
 ) -> tuple[list[list[int]], list[int], int]:
     """Core recursive differential grouping loop of rdg3."""
-    used_before = objective.budget.used
+    used_before = objective.evals_used
     dim = objective.dimension
     tester = _SetTester(objective)
 
@@ -174,7 +174,7 @@ def _recursive_grouping(
         else:
             merged_groups.append(sorted(nucleus))
 
-    return merged_groups, separable, objective.budget.used - used_before
+    return merged_groups, separable, objective.evals_used - used_before
 
 
 def _pack(indices: list[int], pack_size: int) -> list[np.ndarray]:
@@ -237,7 +237,7 @@ def similarity_matrix(
 
     sample_fraction = 1.0 if dim <= FULL_PROBE_DIMENSION else SAMPLE_FRACTION
     all_pairs = dim * (dim - 1) // 2
-    cap = int(PROBE_BUDGET_FRACTION * objective.budget.max_evals) - (dim + 1)
+    cap = int(PROBE_BUDGET_FRACTION * objective.max_evals) - (dim + 1)
     target = min(int(round(sample_fraction * all_pairs)), max(cap, 0), objective.remaining)
 
     rows, cols = np.triu_indices(dim, k=1)
@@ -287,7 +287,7 @@ def dgsc_group(
     back to packing every variable.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    used_before = objective.budget.used
+    used_before = objective.evals_used
     dim = objective.dimension
     k = k_groups if k_groups is not None else math.ceil(dim / 100)
     if k < 1:
@@ -297,7 +297,7 @@ def dgsc_group(
     degree = weights.sum(axis=1)
     isolated = np.flatnonzero(degree == 0.0)
     connected = np.flatnonzero(degree > 0.0)
-    evals = objective.budget.used - used_before
+    evals = objective.evals_used - used_before
 
     groups: list[np.ndarray] = []
     if connected.size:

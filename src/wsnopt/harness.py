@@ -174,10 +174,11 @@ def run_trial(
 ) -> TrialRecord:
     """Execute one seeded trial and package the outcome."""
     problem = PowerAllocationProblem(config.problem_config(case))
-    objective = TrackedObjective(problem, config.max_evals)
+    population = config.population_sizes[case.sensors]
+    objective = TrackedObjective(problem, config.max_evals, population)
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     rng = np.random.default_rng(seed)
-    solve(algorithm, objective, rng, config.population_sizes[case.sensors])
+    solve(algorithm, objective, rng, population)
     solution = objective.solution
     # Scored by the row kernel directly, not through ``problem.batch``, so
     # every batch row stays a budgeted evaluation.

@@ -8,7 +8,8 @@ cycle re-partitions the coordinates at random into near-equal groups and
 every generation mutates only one group, so the step behaves like a
 coordinate-block search inside the full-dimensional population.  The
 cycle ends with a multi-trajectory line search around the best member and
-a linear population-size reduction.
+a linear population-size reduction, which does not move the tracker's
+penalty clock.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ def mlshade_spa(
         raise ValueError(f"population_size must be at least {MIN_POPULATION}")
     dim = objective.dimension
     bounds = objective.bounds
-    objective.population_size = population_size
 
     pop = init_population(population_size, dim, bounds, rng)
     fit = np.full(population_size, np.inf)
@@ -279,11 +279,12 @@ def mlshade_spa(
                 pop[worst_i] = x_new
                 fit[worst_i] = f_new
 
-        target = linear_pop_size_reduction(objective.budget, population_size)
+        target = linear_pop_size_reduction(
+            objective.evals_used, objective.max_evals, population_size
+        )
         if target < len(pop):
             pop, fit = shrink_population(pop, fit, target)
             while len(archive) > target:
                 archive.pop(int(rng.integers(len(archive))))
-            objective.population_size = target
 
     return objective

@@ -60,9 +60,6 @@ class WsnConfig:
         Receiver (channel) noise variance at the fusion center.
     epsilon : float
         Ceiling on the fusion error probability, in ``(0, 0.5)``.
-    prior_ratio : float
-        Likelihood-ratio decision threshold; 1.0 corresponds to equal
-        priors.
     fading_seed : int
         Seed used when drawing the channel amplitudes for this instance.
     """
@@ -74,7 +71,6 @@ class WsnConfig:
     sigma_v2: float = 1.0
     sigma_w2: float = 1.0
     epsilon: float = 0.1
-    prior_ratio: float = 1.0
     fading_seed: int = 0
 
     def __post_init__(self):
@@ -88,8 +84,6 @@ class WsnConfig:
             raise ValueError("noise variances must be positive")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if self.prior_ratio <= 0.0:
-            raise ValueError("prior_ratio must be positive")
 
     @property
     def snr_linear(self) -> float:
@@ -249,8 +243,8 @@ def monte_carlo_error_rate(
     """Empirical fusion error rate from simulated received vectors.
 
     Draws ``n_samples`` received vectors under each hypothesis, applies the
-    log-likelihood-ratio rule with threshold ``log(prior_ratio)``, and
-    returns the equal-prior average of the false-alarm and miss rates.
+    equal-prior log-likelihood-ratio rule (threshold 0), and returns the
+    average of the false-alarm and miss rates.
     Serves as the independent oracle for ``fusion_error_probability``.
     """
     if n_samples < 1:
@@ -261,7 +255,6 @@ def monte_carlo_error_rate(
     chol = cholesky(cov, lower=True)
     w = cho_solve((chol, True), a)
     offset = 0.5 * config.signal_power * float(a @ w)
-    threshold = math.log(config.prior_ratio)
     mean_signal = m * a
 
     false_alarms = 0
@@ -273,10 +266,10 @@ def monte_carlo_error_rate(
         noise = z @ chol.T
         # Under the null hypothesis the received vector is pure noise.
         t0 = m * (noise @ w) - offset
-        false_alarms += int(np.count_nonzero(t0 >= threshold))
+        false_alarms += int(np.count_nonzero(t0 >= 0.0))
         # Under the alternative the scaled signal is added.
         t1 = m * ((noise + mean_signal) @ w) - offset
-        misses += int(np.count_nonzero(t1 < threshold))
+        misses += int(np.count_nonzero(t1 < 0.0))
         remaining -= n
     return 0.5 * (false_alarms + misses) / n_samples
 

@@ -3,9 +3,10 @@
 Every entry takes the same three arguments (tracked objective, random
 generator, population size) and returns that tracked objective, which holds
 the best points and the convergence history, so the experiment harness can
-treat algorithms as interchangeable.  The two
-decomposition-based entries spend part of the budget on structure probes
-and seed their context with the best point those probes happened to see.
+treat algorithms as interchangeable.  The two decomposition-based entries
+ignore the population size (their subsolvers size their own populations),
+spend part of the budget on structure probes and seed their context with the
+best point those probes happened to see.
 """
 
 from __future__ import annotations
@@ -21,24 +22,26 @@ from .mlshade import mlshade_spa
 from .sansde import SansdeSubsolver
 
 
-def solve_cbcc_rdg3(
-    objective: TrackedObjective, rng: np.random.Generator, population_size: int
-) -> TrackedObjective:
-    """Capped recursive grouping, then contribution-guided coevolution."""
+def _decompose_then_coevolve(objective, rng, group, make_subsolver, scheduler):
+    """Decompose by ``group()``, then coevolve from the probes' best point."""
     try:
-        decomposition = rdg3_group(objective)
+        groups = group().groups
     except BudgetExhausted:
         return objective
     if objective.remaining <= 0:
         return objective
     return cc_optimize(
-        objective,
-        decomposition.groups,
-        CmaesSubsolver,
-        scheduler=ContributionScheduler(),
-        rng=rng,
-        initial=objective.best_x,
-        population_size=population_size,
+        objective, groups, make_subsolver, scheduler, rng, initial=objective.best_x
+    )
+
+
+def solve_cbcc_rdg3(
+    objective: TrackedObjective, rng: np.random.Generator, population_size: int
+) -> TrackedObjective:
+    """Capped recursive grouping, then contribution-guided coevolution."""
+    return _decompose_then_coevolve(
+        objective, rng, lambda: rdg3_group(objective), CmaesSubsolver,
+        ContributionScheduler(),
     )
 
 
@@ -46,20 +49,9 @@ def solve_dgsc_decc(
     objective: TrackedObjective, rng: np.random.Generator, population_size: int
 ) -> TrackedObjective:
     """Spectral decomposition, then round-robin coevolution with adaptive DE."""
-    try:
-        decomposition = dgsc_group(objective, rng=rng)
-    except BudgetExhausted:
-        return objective
-    if objective.remaining <= 0:
-        return objective
-    return cc_optimize(
-        objective,
-        decomposition.groups,
-        SansdeSubsolver,
-        scheduler=RoundRobinScheduler(),
-        rng=rng,
-        initial=objective.best_x,
-        population_size=population_size,
+    return _decompose_then_coevolve(
+        objective, rng, lambda: dgsc_group(objective, rng=rng), SansdeSubsolver,
+        RoundRobinScheduler(),
     )
 
 

@@ -321,6 +321,6 @@ def test_every_objective_call_is_counted_against_the_budget(algorithm):
     objective = TrackedObjective(counted, budget)
     rng = np.random.default_rng(derive_seed(BASE_SEED, "accept-count", algorithm))
     result = solve(algorithm, objective, rng, 50)
-    assert counted.calls == objective.budget.used
-    assert result.evals_used == objective.budget.used
-    assert objective.budget.used <= budget
+    assert counted.calls == objective.evals_used
+    assert result.evals_used == objective.evals_used
+    assert objective.evals_used <= budget

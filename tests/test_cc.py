@@ -56,7 +56,7 @@ class TestSubproblemView:
         obj, context, view = self.make_view([2])
         value = view.evaluate(np.array([3.0]))
         assert value == pytest.approx(18.0)
-        assert obj.budget.used == 1
+        assert obj.evals_used == 1
         # evaluation alone must not move the context
         np.testing.assert_array_equal(context.values, np.zeros(3))
 
@@ -120,7 +120,7 @@ class TestCmaesSubsolver:
             rng=np.random.default_rng(11),
         )
         assert result.best_f < 1e-8
-        assert obj.budget.used == 6000
+        assert obj.evals_used == 6000
         assert sphere(result.best_x) == pytest.approx(result.best_f)
 
     def test_budget_truncated_generation_skips_update(self):
@@ -131,7 +131,7 @@ class TestCmaesSubsolver:
         mean_before = solver.mean.copy()
         sigma_before = solver.sigma
         solver.step(np.random.default_rng(0))
-        assert obj.budget.used == 3
+        assert obj.evals_used == 3
         np.testing.assert_array_equal(solver.mean, mean_before)
         assert solver.sigma == sigma_before
 
@@ -200,7 +200,7 @@ class TestSansdeSubsolver:
         view = SubproblemView(obj, context, [0, 1])
         solver = SansdeSubsolver(view)
         solver.step(np.random.default_rng(0))
-        assert obj.budget.used == 30
+        assert obj.evals_used == 30
         np.testing.assert_array_equal(solver.positions[0], [7.0, 7.0])
 
     def test_adaptation_counters_reset(self):
@@ -226,7 +226,7 @@ class TestSansdeSubsolver:
             rng=np.random.default_rng(5),
         )
         assert result.best_f < 1e-6
-        assert obj.budget.used == 8000
+        assert obj.evals_used == 8000
 
 
 class TestCcOptimize:
@@ -256,16 +256,12 @@ class TestCcOptimize:
             rng=np.random.default_rng(3),
         )
         assert result.best_f < 1e-3
-        assert obj.budget.used == 4000
+        assert obj.evals_used == 4000
 
-    def test_population_size_setting_reaches_objective(self):
-        obj = make_objective(sphere, 2, Bounds(-5.0, 5.0), 50)
-        cc_optimize(
-            obj,
-            [[0], [1]],
-            SansdeSubsolver,
-            rng=np.random.default_rng(0),
-            population_size=25,
+    def test_population_size_stays_as_built(self):
+        obj = TrackedObjective(
+            FunctionProblem(sphere, 2, Bounds(-5.0, 5.0)), 50, population_size=25
         )
+        cc_optimize(obj, [[0], [1]], SansdeSubsolver, rng=np.random.default_rng(0))
         assert obj.population_size == 25
-        assert obj.budget.used == 50
+        assert obj.evals_used == 50

@@ -98,7 +98,7 @@ class TestEadeSolver:
         problem = sphere_problem()
         obj = TrackedObjective(problem, 3000)
         result = eade(obj, np.random.default_rng(7), 30)
-        assert obj.budget.used == 3000
+        assert obj.evals_used == 3000
         first = result.improvements[0][1]
         assert result.best_f < 0.1 * first
         evals, bests = zip(*result.improvements)
@@ -109,7 +109,7 @@ class TestEadeSolver:
         problem = sphere_problem()
         obj = TrackedObjective(problem, 7)
         result = eade(obj, np.random.default_rng(0), 12)
-        assert obj.budget.used == 7
+        assert obj.evals_used == 7
         assert np.isfinite(result.best_f)
 
     def test_population_too_small_for_slices(self):
@@ -141,8 +141,7 @@ class TestEadeSolver:
         )
 
         rng = np.random.default_rng(seed)
-        obj = TrackedObjective(sphere_problem(dim, bounds), max_evals)
-        obj.population_size = n_pop
+        obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)
         pop = init_population(n_pop, dim, bounds, rng)
         fit = obj.evaluate_batch(pop)
         period = max(1, round(0.1 * (max_evals // n_pop)))

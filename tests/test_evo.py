@@ -6,7 +6,6 @@ import pytest
 from wsnopt.evo import (
     Bounds,
     BudgetExhausted,
-    EvalBudget,
     FunctionProblem,
     SuccessHistory,
     TrackedObjective,
@@ -126,25 +125,18 @@ class TestReflection:
 
 class TestPopSizeReduction:
     def test_endpoints_and_midpoint(self):
-        budget = EvalBudget(1000)
-        assert linear_pop_size_reduction(budget, 100) == 100
-        budget.spend(500)
-        assert linear_pop_size_reduction(budget, 100) == 60
-        budget.spend(500)
-        assert linear_pop_size_reduction(budget, 100) == 20
+        assert linear_pop_size_reduction(0, 1000, 100) == 100
+        assert linear_pop_size_reduction(500, 1000, 100) == 60
+        assert linear_pop_size_reduction(1000, 1000, 100) == 20
 
     def test_monotone_nonincreasing(self):
-        budget = EvalBudget(997)
-        sizes = []
-        while budget.remaining:
-            sizes.append(linear_pop_size_reduction(budget, 100))
-            budget.spend(1)
+        sizes = [linear_pop_size_reduction(used, 997, 100) for used in range(997)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert min(sizes) >= 20
 
     def test_invalid_floor(self):
         with pytest.raises(ValueError):
-            linear_pop_size_reduction(EvalBudget(10), 10)
+            linear_pop_size_reduction(0, 10, 10)
 
     def test_shrink_keeps_best_and_order(self):
         pos = np.arange(10, dtype=float)[:, None]
@@ -202,7 +194,7 @@ class TestTrackedObjective:
         obj.evaluate(np.ones(3))
         obj.evaluate_batch(np.zeros((4, 3)))
         obj.probe(np.ones(3))
-        assert obj.budget.used == 6
+        assert obj.evals_used == 6
         assert obj.remaining == 4
 
     def test_over_budget_raises(self):
@@ -210,7 +202,7 @@ class TestTrackedObjective:
         obj.evaluate_batch(np.zeros((3, 3)))
         with pytest.raises(BudgetExhausted):
             obj.evaluate(np.ones(3))
-        assert obj.budget.used == 3
+        assert obj.evals_used == 3
 
     def test_best_tracking_and_trace(self):
         obj = self.make(max_evals=10)

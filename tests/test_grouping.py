@@ -80,9 +80,9 @@ class TestDgInteraction:
     def test_costs_four_evaluations(self):
         obj = make_objective(mixed, 5)
         dg_interaction(obj, 0, 1)
-        assert obj.budget.used == 4
+        assert obj.evals_used == 4
         dg_interaction(obj, 0, 2)
-        assert obj.budget.used == 8
+        assert obj.evals_used == 8
 
     def test_threshold_override_can_suppress_detection(self):
         obj = make_objective(product_pairs, 2, bounds=Bounds(0.0, 2.0))
@@ -129,7 +129,7 @@ class TestRdg:
     def test_probe_evals_match_budget(self):
         obj = make_objective(mixed, 5)
         result = rdg3_group(obj, size_cap=5, separable_pack=1)
-        assert result.probe_evals == obj.budget.used
+        assert result.probe_evals == obj.evals_used
         assert result.probe_evals > 0
 
 
@@ -208,13 +208,13 @@ class TestSimilarityMatrix:
         dim = 6
         obj = make_objective(product_pairs, dim)
         similarity_matrix(obj)
-        assert obj.budget.used == 1 + dim + dim * (dim - 1) // 2
+        assert obj.evals_used == 1 + dim + dim * (dim - 1) // 2
 
     def test_pair_sampling_respects_budget_cap(self):
         obj = make_objective(product_pairs, 6, max_evals=20)
         weights = similarity_matrix(obj, rng=np.random.default_rng(3))
         # cap: 80% of 20 minus the 7 single-point probes leaves 9 pair probes
-        assert obj.budget.used == 1 + 6 + 9
+        assert obj.evals_used == 1 + 6 + 9
         np.testing.assert_array_equal(weights, weights.T)
 
 
@@ -272,7 +272,7 @@ class TestDgsc:
     def test_probe_evals_match_budget(self):
         obj = make_objective(product_pairs, 6)
         result = dgsc_group(obj, k_groups=3, rng=np.random.default_rng(0))
-        assert result.probe_evals == obj.budget.used
+        assert result.probe_evals == obj.evals_used
         result.assert_partition(6)
 
     def test_invalid_group_count_rejected(self):

@@ -50,7 +50,6 @@ class TestConfig:
             dict(num_sensors=2, epsilon=0.5),
             dict(num_sensors=2, sigma_w2=0.0),
             dict(num_sensors=2, spacing=0.0),
-            dict(num_sensors=2, prior_ratio=0.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

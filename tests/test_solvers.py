@@ -40,7 +40,7 @@ class TestSolversOnSensorProblem:
     def test_budget_spent_and_result_coherent(self, name):
         objective = TrackedObjective(small_problem(), max_evals=3000)
         result = solve(name, objective, np.random.default_rng(7), population_size=20)
-        assert objective.budget.used == 3000
+        assert objective.evals_used == 3000
         assert result.evals_used == 3000
         assert np.isfinite(result.best_f)
         assert len(result.best_x) == 8
@@ -65,7 +65,7 @@ class TestSolversOnSensorProblem:
     def test_decomposition_solvers_survive_tiny_budgets(self, name):
         objective = TrackedObjective(small_problem(), max_evals=12)
         result = solve(name, objective, np.random.default_rng(0), population_size=20)
-        assert objective.budget.used <= 12
+        assert objective.evals_used <= 12
         assert np.isfinite(result.best_f)
 
     def test_deterministic_across_repeats(self):
@@ -77,6 +77,30 @@ class TestSolversOnSensorProblem:
             )
             outcomes.append(result.best_f)
         assert outcomes[0] == outcomes[1]
+
+
+class IterationRecorder(PowerAllocationProblem):
+    """The sensor problem, keeping the penalty iteration of every row."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.iterations = []
+
+    def batch(self, G, iterations):
+        self.iterations.extend(np.asarray(iterations).tolist())
+        return super().batch(G, iterations)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_runs_on_the_trackers_clock(name):
+    problem = IterationRecorder(small_problem(num_sensors=40).config)
+    objective = TrackedObjective(problem, max_evals=3000, population_size=30)
+    solve(name, objective, np.random.default_rng(5), population_size=30)
+    seen = np.array(problem.iterations)
+    clock = np.ceil(np.arange(1, len(seen) + 1) / 30)
+    assert len(seen) == 3000
+    assert np.all((seen == 1.0) | (seen == clock))
+    assert seen.max() == 100.0
 
 
 def test_readme_library_use_block_runs(capsys):
