@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .evo import TrackedObjective
 from .harness import (
     CaseSpec,
     ExperimentConfig,
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--seed", type=int, default=0)
     p_case.add_argument("--max-evals", type=int, default=60000)
     p_case.add_argument("--population", type=int, default=100)
-    p_case.add_argument("--snr-db", type=float, default=10.0)
     p_case.add_argument("--out", default="runs/case")
 
     p_stats = sub.add_parser("stats", help="rank algorithms from a results table")
@@ -102,7 +100,6 @@ def cmd_case(args) -> int:
         population_sizes={args.sensors: args.population},
         base_seed=args.seed,
         output_dir=args.out,
-        snr_db=args.snr_db,
     )
     try:
         config.validate()
@@ -182,11 +179,7 @@ def cmd_validate(args) -> int:
         rho = correlations[(k // len(sensor_counts)) % len(correlations)]
         config = WsnConfig(
             num_sensors=sensors,
-            snr_db=10.0,
             correlation=rho,
-            spacing=1.0,
-            sigma_v2=1.0,
-            sigma_w2=1.0,
             epsilon=0.1,
             fading_seed=derive_seed(args.seed, "validate", k, "fading"),
         )

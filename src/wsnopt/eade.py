@@ -25,6 +25,8 @@ from .evo import (
 POOL_VALUES = (0.05, 0.5, 0.95)
 F_LOW, F_HIGH = 0.4, 0.9
 LEARNING_FRACTION = 0.1
+# The smallest population whose default rank slices (a tenth each) are not empty.
+MIN_POPULATION = 10
 
 
 class CrossoverRatePool:

@@ -77,6 +77,12 @@ class TrackedObjective:
     iteration to 1, which keeps structure detection consistent regardless of
     when it runs.  Solvers only read these fields, and every solver returns
     the tracker itself as its result.
+
+    The one best-so-far (``best_x``, ``best_f``, ``best_feasible``) follows
+    Deb's feasibility rules: a feasible row beats any infeasible one (rows
+    with no feasibility flag count as infeasible), and within a class the
+    lower value wins.  A feasible best's ``best_f`` is its power, and
+    ``improvements`` holds ``(evaluation, best_f)`` at every change of it.
     """
 
     def __init__(self, problem, max_evals: int, population_size: int = 1):
@@ -88,8 +94,7 @@ class TrackedObjective:
         self.population_size = max(1, int(population_size))
         self.best_x: np.ndarray | None = None
         self.best_f = np.inf
-        self.best_feasible_x: np.ndarray | None = None
-        self.best_feasible_power = np.inf
+        self.best_feasible = False
         self.improvements: list[tuple[int, float]] = []
 
     @property
@@ -104,21 +109,30 @@ class TrackedObjective:
     def remaining(self) -> int:
         return self.max_evals - self.evals_used
 
-    def _record(self, X: np.ndarray, values: np.ndarray, feasible, powers, start: int):
-        better = values < self.best_f
-        if np.any(better):
-            running = np.minimum.accumulate(values)
-            for k in np.flatnonzero(better & (values == running)):
-                if values[k] < self.best_f:
-                    self.best_f = float(values[k])
-                    self.best_x = X[k].copy()
-                    self.improvements.append((start + k + 1, self.best_f))
-        if feasible is not None and np.any(feasible):
-            idx = np.flatnonzero(feasible)
-            k = idx[np.argmin(powers[idx])]
-            if powers[k] < self.best_feasible_power:
-                self.best_feasible_power = float(powers[k])
-                self.best_feasible_x = X[k].copy()
+    @property
+    def best_feasible_x(self) -> np.ndarray | None:
+        return self.best_x if self.best_feasible else None
+
+    def _record(self, X: np.ndarray, values: np.ndarray, feasible, start: int):
+        if feasible is None:
+            feasible = np.zeros(len(values), dtype=bool)
+        # A row can take over only if it beats the best and no earlier row of
+        # its class in the batch is lower; the loop applies those in order.
+        if self.best_feasible:
+            better = feasible & (values < self.best_f)
+        else:
+            better = feasible | (values < self.best_f)
+        if np.count_nonzero(better) > 1:
+            by_class = np.where([feasible, ~feasible], values, np.nan)
+            better &= (by_class <= np.fmin.accumulate(by_class, axis=1)).any(axis=0)
+        for k in np.flatnonzero(better):
+            if feasible[k] > self.best_feasible or (
+                feasible[k] == self.best_feasible and values[k] < self.best_f
+            ):
+                self.best_f = float(values[k])
+                self.best_x = X[k].copy()
+                self.best_feasible = bool(feasible[k])
+                self.improvements.append((start + k + 1, self.best_f))
 
     def _evaluate(self, X: np.ndarray, pinned: bool) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -135,8 +149,8 @@ class TrackedObjective:
             iterations = np.ones(n)
         else:
             iterations = np.ceil((start + 1 + np.arange(n)) / self.population_size)
-        values, feasible, powers = self.problem.batch(X, iterations)
-        self._record(X, values, feasible, powers, start)
+        values, feasible, _ = self.problem.batch(X, iterations)
+        self._record(X, values, feasible, start)
         return values
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
@@ -151,13 +165,6 @@ class TrackedObjective:
 
     def probe(self, x: np.ndarray) -> float:
         return float(self.probe_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    @property
-    def solution(self) -> np.ndarray | None:
-        """Best point found, preferring feasible points when any were seen."""
-        if self.best_feasible_x is not None:
-            return self.best_feasible_x
-        return self.best_x
 
 
 def init_population(

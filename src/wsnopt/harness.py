@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .eade import MIN_POPULATION as EADE_MIN_POPULATION
 from .evo import MIN_POPULATION, TrackedObjective
 from .problem import PowerAllocationProblem, WsnConfig, evaluate_rows
 from .solvers import SOLVERS, solve
@@ -93,10 +94,6 @@ class ExperimentConfig:
     population_sizes: dict
     base_seed: int
     output_dir: str
-    snr_db: float = 10.0
-    sigma_v2: float = 1.0
-    sigma_w2: float = 1.0
-    spacing: float = 1.0
     workers: int = 1
     trace_step: int = 500
 
@@ -131,18 +128,20 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        floors = (("mlshade-spa", MIN_POPULATION), ("eade", EADE_MIN_POPULATION))
         for case in self.cases():
             if case.sensors not in self.population_sizes:
                 raise ValueError(
                     f"population size missing for {case.sensors} sensors"
                     f" (case {case.case_id})"
                 )
-            if ("mlshade-spa" in self.algorithms
-                    and self.population_sizes[case.sensors] < MIN_POPULATION):
-                raise ValueError(
-                    f"mlshade-spa needs a population of at least {MIN_POPULATION}"
-                    f" (case {case.case_id})"
-                )
+            population = self.population_sizes[case.sensors]
+            for algorithm, floor in floors:
+                if algorithm in self.algorithms and population < floor:
+                    raise ValueError(
+                        f"{algorithm} needs a population of at least {floor}"
+                        f" (case {case.case_id})"
+                    )
             # Builds the case's problem description, which checks its ranges.
             self.problem_config(case)
 
@@ -159,11 +158,7 @@ class ExperimentConfig:
     def problem_config(self, case: CaseSpec) -> WsnConfig:
         return WsnConfig(
             num_sensors=case.sensors,
-            snr_db=self.snr_db,
             correlation=case.correlation,
-            spacing=self.spacing,
-            sigma_v2=self.sigma_v2,
-            sigma_w2=self.sigma_w2,
             epsilon=case.epsilon,
             fading_seed=derive_seed(self.base_seed, case.case_id, "fading"),
         )
@@ -179,18 +174,18 @@ def run_trial(
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     rng = np.random.default_rng(seed)
     solve(algorithm, objective, rng, population)
-    solution = objective.solution
     # Scored by the row kernel directly, not through ``problem.batch``, so
     # every batch row stays a budgeted evaluation.
-    _, feasible, power = evaluate_rows(problem.config, problem.fading, solution, [1])
-    saw_feasible = objective.best_feasible_x is not None
+    _, feasible, power = evaluate_rows(
+        problem.config, problem.fading, objective.best_x, [1]
+    )
     return TrialRecord(
         case_id=case.case_id,
         algorithm=algorithm,
         trial=trial,
         seed=seed,
-        best_f=objective.best_feasible_power if saw_feasible else objective.best_f,
-        gains=np.asarray(solution, dtype=float),
+        best_f=objective.best_f,
+        gains=np.asarray(objective.best_x, dtype=float),
         power=float(power[0]),
         feasible=bool(feasible[0]),
         evals_used=objective.evals_used,

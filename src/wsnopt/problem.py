@@ -358,9 +358,6 @@ class PowerAllocationProblem:
     def dimension(self) -> int:
         return self.config.num_sensors
 
-    def power(self, g: np.ndarray) -> float:
-        return total_power(g)
-
     def error_probability(self, g: np.ndarray) -> float:
         return fusion_error_probability(self.config, self.fading, g)
 

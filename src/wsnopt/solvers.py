@@ -6,7 +6,8 @@ the best points and the convergence history, so the experiment harness can
 treat algorithms as interchangeable.  The two decomposition-based entries
 ignore the population size (their subsolvers size their own populations),
 spend part of the budget on structure probes and seed their context with the
-best point those probes happened to see.
+tracker's best probe: the cheapest feasible one when any probe was feasible,
+else the one with the lowest penalized value.
 """
 
 from __future__ import annotations

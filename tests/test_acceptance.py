@@ -59,12 +59,12 @@ def run_one(algorithm, config, seed, max_evals, population):
 
 def feasible_power(problem, result, tolerance=1e-6):
     """Best feasible total power of a run, or None when infeasible."""
-    x = result.best_feasible_x
-    if x is None:
+    if not result.best_feasible:
         return None
+    x = result.best_x
     if problem.constraint_margin(x) > tolerance or np.any(x < 0.0):
         return None
-    return float(result.best_feasible_power)
+    return float(result.best_f)
 
 
 def test_rank_aggregation_reproduces_published_ordering():

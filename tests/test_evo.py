@@ -259,20 +259,27 @@ class TestTrackedObjective:
             bounds = Bounds(0.0, 1.0)
 
             def batch(self, X, iterations):
-                # Penalized value rewards x near 0, feasibility needs x > 0.5.
-                values = X[:, 0]
+                # Feasibility needs x > 0.5; infeasible rows carry a penalized
+                # value below any power, feasible rows their power.
                 feasible = X[:, 0] > 0.5
                 powers = X[:, 0] * 10.0
+                values = np.where(feasible, powers, X[:, 0])
                 return values, feasible, powers
 
         obj = TrackedObjective(TwoTrack(), 10)
-        obj.evaluate(np.array([0.1]))
-        obj.evaluate(np.array([0.7]))
-        assert obj.best_f == pytest.approx(0.1)
-        np.testing.assert_allclose(obj.solution, [0.7])
-        assert obj.best_feasible_power == pytest.approx(7.0)
+        for x in (0.1, 0.7, 0.05, 0.6):
+            obj.evaluate(np.array([x]))
+        np.testing.assert_allclose(obj.best_x, [0.6])
+        assert obj.best_feasible
+        np.testing.assert_allclose(obj.best_feasible_x, [0.6])
+        assert obj.best_f == pytest.approx(6.0)
+        evals, bests = zip(*obj.improvements)
+        assert evals == (1, 2, 4)
+        assert bests == pytest.approx((0.1, 7.0, 6.0))
 
     def test_solution_falls_back_to_best(self):
         obj = self.make()
         obj.evaluate(np.ones(3))
-        np.testing.assert_allclose(obj.solution, np.ones(3))
+        np.testing.assert_allclose(obj.best_x, np.ones(3))
+        assert not obj.best_feasible
+        assert obj.best_feasible_x is None

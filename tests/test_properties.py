@@ -1,7 +1,8 @@
-"""Property tests of the row kernel.
+"""Property tests of the row kernel and of the tracker's best-so-far.
 
 Every scalar entry point is a batch of one, and the error probability never
-rises when one gain is raised.
+rises when one gain is raised.  The tracker's batched bookkeeping follows
+the feasible-first order row by row, however the rows are batched.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from wsnopt.evo import Bounds, TrackedObjective  # noqa: E402
 from wsnopt.problem import (  # noqa: E402
     PowerAllocationProblem,
     WsnConfig,
@@ -114,3 +116,38 @@ def test_raising_one_gain_never_raises_error_probability(rho, method, data):
     before = fusion_error_probability(prob.config, prob.fading, g, method=method)
     after = fusion_error_probability(prob.config, prob.fading, raised, method=method)
     assert after <= before * (1.0 + MONOTONE_REL_TOL)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_batched_best_follows_feasible_first_order_row_by_row(data):
+    n = data.draw(st.integers(1, 16))
+    # Few distinct values, so ties within and across classes are common.
+    values = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                         min_size=n, max_size=n)))
+    feasible = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else [])
+
+    class Table:
+        # Row i of the stack is the point [i]; it scores values[i].
+        dimension = 1
+        bounds = Bounds(0.0, float(n))
+
+        def batch(self, X, iterations):
+            rows = X[:, 0].astype(int)
+            return values[rows], feasible[rows], values[rows]
+
+    objective = TrackedObjective(Table(), n)
+    for chunk in np.split(np.arange(n, dtype=float)[:, None], cuts):
+        objective.evaluate_batch(chunk)
+
+    best, events = (False, -np.inf), []
+    for k in range(n):
+        key = (bool(feasible[k]), -values[k])
+        if key > best:
+            best = key
+            events.append((k + 1, float(values[k])))
+    assert objective.improvements == events
+    assert objective.best_feasible == best[0]
+    assert objective.best_f == -best[1]
+    assert objective.best_x[0] == events[-1][0] - 1

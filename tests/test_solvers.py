@@ -44,9 +44,13 @@ class TestSolversOnSensorProblem:
         assert result.evals_used == 3000
         assert np.isfinite(result.best_f)
         assert len(result.best_x) == 8
-        # improvement record is monotone and ends at the reported best
+        # The improvement record falls except for at most one rise, where the
+        # first feasible point displaces a lower penalized value, and it ends
+        # at the reported best.
         values = [f for _, f in result.improvements]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        rises = sum(b > a for a, b in zip(values, values[1:]))
+        assert rises <= 1
+        assert rises == 0 or result.best_feasible
         assert values[-1] == result.best_f
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -54,12 +58,10 @@ class TestSolversOnSensorProblem:
         problem = small_problem(epsilon=0.1)
         objective = TrackedObjective(problem, max_evals=4000)
         result = solve(name, objective, np.random.default_rng(3), population_size=20)
-        assert result.best_feasible_x is not None
-        assert problem.error_probability(result.best_feasible_x) <= 0.1 + 1e-12
-        assert np.all(result.best_feasible_x >= 0.0)
-        assert result.best_feasible_power == pytest.approx(
-            problem.power(result.best_feasible_x)
-        )
+        assert result.best_feasible
+        assert problem.error_probability(result.best_x) <= 0.1 + 1e-12
+        assert np.all(result.best_x >= 0.0)
+        assert result.best_f == pytest.approx(float(result.best_x @ result.best_x))
 
     @pytest.mark.parametrize("name", ["cbcc-rdg3", "dgsc-decc"])
     def test_decomposition_solvers_survive_tiny_budgets(self, name):
