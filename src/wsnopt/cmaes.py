@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .evo import reflect_into_bounds
 
@@ -91,9 +91,13 @@ class CmaesSubsolver:
         moves = (selected - self.mean[None, :]) / self.sigma
         move_mean = self.weights @ moves
 
+        whitened, info = dtrtrs(self.factor, move_mean, lower=1)
+        if info != 0:
+            self._reset()
+            return
         self.path_sigma = (1.0 - self.cs) * self.path_sigma + math.sqrt(
             self.cs * (2.0 - self.cs) * self.mueff
-        ) * solve_triangular(self.factor, move_mean, lower=True, check_finite=False)
+        ) * whitened
         generations = self.evals_done / self.lam
         norm_ps = float(np.linalg.norm(self.path_sigma))
         hsig = norm_ps / math.sqrt(
@@ -117,13 +121,10 @@ class CmaesSubsolver:
             (self.cs / self.ds) * (norm_ps / self.chi_n - 1.0)
         )
 
-        try:
-            self.factor = cholesky(self.cov, lower=True, check_finite=False)
-        except LinAlgError:
-            self._reset()
-            return
+        self.factor, info = dpotrf(self.cov, lower=1, clean=1)
         state_bad = (
-            not np.all(np.isfinite(self.factor))
+            info != 0
+            or not np.all(np.isfinite(self.factor))
             or not np.all(np.isfinite(self.mean))
             or not np.isfinite(self.sigma)
             or self.sigma > 1e7 * self.sigma0

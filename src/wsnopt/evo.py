@@ -116,16 +116,21 @@ class TrackedObjective:
     def _record(self, X: np.ndarray, values: np.ndarray, feasible, start: int):
         if feasible is None:
             feasible = np.zeros(len(values), dtype=bool)
-        # A row can take over only if it beats the best and no earlier row of
-        # its class in the batch is lower; the loop applies those in order.
-        if self.best_feasible:
-            better = feasible & (values < self.best_f)
+        if len(values) == 1:
+            rows = (0,)
         else:
-            better = feasible | (values < self.best_f)
-        if np.count_nonzero(better) > 1:
-            by_class = np.where([feasible, ~feasible], values, np.nan)
-            better &= (by_class <= np.fmin.accumulate(by_class, axis=1)).any(axis=0)
-        for k in np.flatnonzero(better):
+            # A row can take over only if it beats the best and no earlier row
+            # of its class in the batch is lower; the loop applies those in
+            # order.
+            if self.best_feasible:
+                better = feasible & (values < self.best_f)
+            else:
+                better = feasible | (values < self.best_f)
+            if np.count_nonzero(better) > 1:
+                by_class = np.where([feasible, ~feasible], values, np.nan)
+                better &= (by_class <= np.fmin.accumulate(by_class, axis=1)).any(axis=0)
+            rows = np.flatnonzero(better)
+        for k in rows:
             if feasible[k] > self.best_feasible or (
                 feasible[k] == self.best_feasible and values[k] < self.best_f
             ):
@@ -147,6 +152,8 @@ class TrackedObjective:
         self.evals_used += n
         if pinned:
             iterations = np.ones(n)
+        elif n == 1:
+            iterations = np.array([-(-(start + 1) // self.population_size)], dtype=float)
         else:
             iterations = np.ceil((start + 1 + np.arange(n)) / self.population_size)
         values, feasible, _ = self.problem.batch(X, iterations)
@@ -216,11 +223,7 @@ def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
     """
     x = np.asarray(position, dtype=float)
     low, high = bounds.lower, bounds.upper
-    below = x < low
-    above = x > high
-    x = x.copy()
-    x[below] = 2.0 * low - x[below]
-    x[above] = 2.0 * high - x[above]
+    x = np.where(x < low, 2.0 * low - x, np.where(x > high, 2.0 * high - x, x))
     return np.clip(x, low, high)
 
 

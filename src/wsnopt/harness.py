@@ -22,7 +22,7 @@ import numpy as np
 
 from .eade import MIN_POPULATION as EADE_MIN_POPULATION
 from .evo import MIN_POPULATION, TrackedObjective
-from .problem import PowerAllocationProblem, WsnConfig, evaluate_rows
+from .problem import PowerAllocationProblem, WsnConfig
 from .solvers import SOLVERS, solve
 from .stats import friedman_ranks, paired_rank_tests
 
@@ -176,9 +176,7 @@ def run_trial(
     solve(algorithm, objective, rng, population)
     # Scored by the row kernel directly, not through ``problem.batch``, so
     # every batch row stays a budgeted evaluation.
-    _, feasible, power = evaluate_rows(
-        problem.config, problem.fading, objective.best_x, [1]
-    )
+    _, feasible, power = problem.evaluate_rows(objective.best_x, [1])
     return TrialRecord(
         case_id=case.case_id,
         algorithm=algorithm,

@@ -99,7 +99,7 @@ def mmts_local_search(
             for move in (-state.step, 0.5 * state.step):
                 if spent >= max_evals_here:
                     return x, f_best, spent
-                candidate = float(np.clip(x[d] + move, bounds.lower, bounds.upper))
+                candidate = min(max(float(x[d] + move), bounds.lower), bounds.upper)
                 if candidate == x[d]:
                     continue
                 trial = x.copy()

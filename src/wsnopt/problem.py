@@ -12,7 +12,9 @@ The evaluation kernel costs O(L) per gain vector at every correlation: white
 noise has a closed form, and correlated noise needs one tridiagonal solve,
 because the inverse of the exponential noise covariance is tridiagonal.  The
 dense O(L^3) factorization of the effective covariance is kept only as the
-reference (``method="matrix"``) the kernel is checked against.
+reference (``method="matrix"``) the kernel is checked against.  The kernel
+lives on ``PowerAllocationProblem``, which builds its constants once per
+problem; a scalar call is still a batch of one through that kernel.
 """
 
 from __future__ import annotations
@@ -153,81 +155,21 @@ def _q_of_deflection(s):
     return q_function(0.5 * np.sqrt(np.maximum(s, 0.0)))
 
 
-def _deflections(config: WsnConfig, h: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Squared deflection of each row of the gain stack ``G``, O(L) a row.
-
-    White observation noise, and a single sensor, have a closed form.  For
-    correlated noise let ``r = correlation**spacing``: the noise covariance
-    ``sigma_v2 * r**|i-j|`` has the inverse ``c*T`` with
-    ``c = 1/(sigma_v2*(1 - r**2))`` and ``T`` tridiagonal, diagonal
-    ``(1, 1+r**2, ..., 1+r**2, 1)`` and off-diagonal ``-r``.  With
-    ``u = (h*g)**2`` and ``M = c*T + diag(u)/sigma_w2``, Woodbury gives
-    ``(P/sigma_w2) * u' M^-1 (c*T 1)``, which has no cancellation at large
-    gains.  ``M`` is symmetric and strictly diagonally dominant, hence
-    positive definite, so ``dptsv`` solves it without pivoting.  Each chunk
-    of rows is one block-diagonal system whose zero couplings between rows
-    leave every row's arithmetic exactly as it is alone, so a row's value
-    does not depend on its batch.  As ``r`` nears 1, ``T`` grows
-    ill-conditioned and the relative error at small gains grows like
-    machine epsilon over ``(1 - r)**2``: about 3e-12 at ``r = 0.99``.
-    """
-    rows, L = G.shape
-    if config.correlation == 0.0 or L == 1:
-        a2 = (G * h) ** 2
-        terms = config.signal_power * a2 / (a2 * config.sigma_v2 + config.sigma_w2)
-        return terms.sum(axis=1)
-    if not np.isfinite(G).all():
-        # A non-finite gain would leak through the zero couplings into the
-        # later rows of its chunk.
-        raise ValueError("gains must be finite")
-    r = config.correlation**config.spacing
-    c = 1.0 / (config.sigma_v2 * (1.0 - r * r))
-    t_diag = np.full(L, 1.0 + r * r)
-    t_diag[[0, -1]] = 1.0
-    t_ones = np.full(L, (1.0 - r) ** 2)
-    t_ones[[0, -1]] = 1.0 - r
-    coupling = np.full(L, -c * r)
-    coupling[-1] = 0.0
-    chunk = max(1, _CHUNK_ELEMENTS // L)
-    s = np.empty(rows)
-    for start in range(0, rows, chunk):
-        u = (G[start : start + chunk] * h) ** 2
-        m = len(u)
-        d = (c * t_diag + u / config.sigma_w2).ravel()
-        e = np.tile(coupling, m)[:-1]
-        b = np.tile(c * t_ones, m)[:, None]
-        _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
-        if info != 0:
-            raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
-        s[start : start + m] = (u * x.reshape(m, L)).sum(axis=1)
-    return (config.signal_power / config.sigma_w2) * s
-
-
-def error_probabilities(config: WsnConfig, h: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Fusion error probability of each row of the gain stack ``G``.
-
-    The evaluation kernel: O(L) per row at every correlation (see
-    ``_deflections``).
-    """
-    return _q_of_deflection(_deflections(config, h, G))
-
-
 def fusion_error_probability(
     config: WsnConfig, h: np.ndarray, g: np.ndarray, method: str = "auto"
 ) -> float:
     """Error probability of the fusion-center threshold rule.
 
     ``method`` selects the computation path: "auto" is the O(L) evaluation
-    kernel (``error_probabilities`` on a batch of one) and "matrix" always
-    uses the dense O(L^3) covariance factorization, the reference the kernel
-    is checked against.
+    kernel (``PowerAllocationProblem.error_probabilities`` on a batch of one)
+    and "matrix" always uses the dense O(L^3) covariance factorization, the
+    reference the kernel is checked against.
 
     Raises ``numpy.linalg.LinAlgError`` when the effective covariance is
     not positive definite (a degenerate configuration).
     """
-    g = np.asarray(g, dtype=float)
     if method == "auto":
-        return float(error_probabilities(config, h, g[None, :])[0])
+        return PowerAllocationProblem(config, h).error_probability(g)
     if method == "matrix":
         return float(_q_of_deflection(_deflection(config, h, g)))
     raise ValueError(f"unknown method {method!r}")
@@ -281,33 +223,14 @@ def staged_penalty(violations: np.ndarray) -> np.ndarray:
     ``100`` at 1 and ``300*v**2`` beyond; non-positive entries cost nothing.
     """
     v = np.maximum(violations, 0.0)
+    if not v.any():
+        return np.zeros(v.shape)
     weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, 300.0))
     return np.where(v > 0.0, weights * np.where(v < 1.0, v, v * v), 0.0)
 
 
 def _powers(G: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", G, G)
-
-
-def evaluate_rows(config: WsnConfig, h: np.ndarray, G: np.ndarray, iterations: np.ndarray):
-    """Penalized objective of each row of the gain stack ``G``.
-
-    Returns ``(values, feasible, powers)``: ``powers`` is the total power of
-    each row, ``feasible`` marks rows with no active violation, and
-    ``values`` adds the iteration-scaled penalty to the power of the other
-    rows.  Violations are the positive part of the error-probability margin
-    and of each negated gain.  Feasible rows have ``values == powers``
-    exactly.
-    """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    powers = _powers(G)
-    penalties = staged_penalty(error_probabilities(config, h, G) - config.epsilon)
-    if np.any(G < 0.0):
-        penalties = penalties + staged_penalty(-G).sum(axis=1)
-    feasible = penalties == 0.0
-    iterations = np.asarray(iterations, dtype=float)
-    values = np.where(feasible, powers, powers + iterations * penalties)
-    return values, feasible, powers
 
 
 def total_power(g: np.ndarray) -> float:
@@ -317,7 +240,7 @@ def total_power(g: np.ndarray) -> float:
 
 def constraint_margin(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
     """Error-probability constraint value; positive means violated."""
-    return fusion_error_probability(config, h, g) - config.epsilon
+    return PowerAllocationProblem(config, h).constraint_margin(g)
 
 
 def penalized_objective(
@@ -325,12 +248,12 @@ def penalized_objective(
 ) -> float:
     """Total power plus the iteration-scaled penalty for constraint violations.
 
-    A batch of one through ``evaluate_rows``; on feasible points the result
-    equals ``total_power(g)`` exactly.
+    A batch of one through ``PowerAllocationProblem.evaluate_rows``; on
+    feasible points the result equals ``total_power(g)`` exactly.
     """
     if iteration < 1:
         raise ValueError("iteration must be at least 1")
-    values, _, _ = evaluate_rows(config, h, g, [iteration])
+    values, _, _ = PowerAllocationProblem(config, h).evaluate_rows(g, [iteration])
     return float(values[0])
 
 
@@ -339,7 +262,8 @@ class PowerAllocationProblem:
 
     Instances expose batch evaluation with an explicit penalty iteration, so
     the surrounding budget tracker can scale the penalty as the search
-    progresses.
+    progresses.  The evaluation kernel's constants are built once, here, and
+    every evaluation, a scalar one included, is a batch through that kernel.
     """
 
     def __init__(
@@ -353,17 +277,101 @@ class PowerAllocationProblem:
         if self.fading.shape != (config.num_sensors,):
             raise ValueError("fading vector length must match num_sensors")
         self.bounds = bounds if bounds is not None else Bounds()
+        self._signal_power = config.signal_power
+        self._white = config.correlation == 0.0 or config.num_sensors == 1
+        if self._white:
+            return
+        # The tridiagonal constants of ``deflections``.  ``dptsv`` overwrites
+        # its inputs, so it is only ever handed fresh arrays built from these.
+        L = config.num_sensors
+        r = config.correlation**config.spacing
+        c = 1.0 / (config.sigma_v2 * (1.0 - r * r))
+        t_diag = np.full(L, 1.0 + r * r)
+        t_diag[[0, -1]] = 1.0
+        t_ones = np.full(L, (1.0 - r) ** 2)
+        t_ones[[0, -1]] = 1.0 - r
+        self._c_t_diag = c * t_diag
+        self._c_t_ones = c * t_ones
+        self._coupling = np.full(L, -c * r)
+        self._coupling[-1] = 0.0
+        self._chunk = max(1, _CHUNK_ELEMENTS // L)
 
     @property
     def dimension(self) -> int:
         return self.config.num_sensors
 
+    def deflections(self, G: np.ndarray) -> np.ndarray:
+        """Squared deflection of each row of the gain stack ``G``, O(L) a row.
+
+        White observation noise, and a single sensor, have a closed form.  For
+        correlated noise let ``r = correlation**spacing``: the noise covariance
+        ``sigma_v2 * r**|i-j|`` has the inverse ``c*T`` with
+        ``c = 1/(sigma_v2*(1 - r**2))`` and ``T`` tridiagonal, diagonal
+        ``(1, 1+r**2, ..., 1+r**2, 1)`` and off-diagonal ``-r``.  With
+        ``u = (h*g)**2`` and ``M = c*T + diag(u)/sigma_w2``, Woodbury gives
+        ``(P/sigma_w2) * u' M^-1 (c*T 1)``, which has no cancellation at large
+        gains.  ``M`` is symmetric and strictly diagonally dominant, hence
+        positive definite, so ``dptsv`` solves it without pivoting.  Each chunk
+        of rows is one block-diagonal system whose zero couplings between rows
+        leave every row's arithmetic exactly as it is alone, so a row's value
+        does not depend on its batch.  As ``r`` nears 1, ``T`` grows
+        ill-conditioned and the relative error at small gains grows like
+        machine epsilon over ``(1 - r)**2``: about 3e-12 at ``r = 0.99``.
+        """
+        sigma_w2 = self.config.sigma_w2
+        if self._white:
+            a2 = (G * self.fading) ** 2
+            terms = self._signal_power * a2 / (a2 * self.config.sigma_v2 + sigma_w2)
+            return terms.sum(axis=1)
+        if not np.isfinite(G).all():
+            # A non-finite gain would leak through the zero couplings into the
+            # later rows of its chunk.
+            raise ValueError("gains must be finite")
+        rows, L = G.shape
+        s = np.empty(rows)
+        for start in range(0, rows, self._chunk):
+            u = (G[start : start + self._chunk] * self.fading) ** 2
+            m = len(u)
+            d = (self._c_t_diag + u / sigma_w2).ravel()
+            e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
+            b = self._c_t_ones[None].repeat(m, axis=0).reshape(-1, 1)
+            _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+            if info != 0:
+                raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
+            s[start : start + m] = (u * x.reshape(m, L)).sum(axis=1)
+        return (self._signal_power / sigma_w2) * s
+
+    def error_probabilities(self, G: np.ndarray) -> np.ndarray:
+        """Fusion error probability of each row of the gain stack ``G``."""
+        return _q_of_deflection(self.deflections(G))
+
+    def evaluate_rows(self, G: np.ndarray, iterations: np.ndarray):
+        """Penalized objective of each row of the gain stack ``G``.
+
+        Returns ``(values, feasible, powers)``: ``powers`` is the total power
+        of each row, ``feasible`` marks rows with no active violation, and
+        ``values`` adds the iteration-scaled penalty to the power of the other
+        rows.  Violations are the positive part of the error-probability
+        margin and of each negated gain.  Feasible rows have
+        ``values == powers`` exactly.  Unlike ``batch``, this is not the
+        budgeted entry point.
+        """
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        powers = _powers(G)
+        penalties = staged_penalty(self.error_probabilities(G) - self.config.epsilon)
+        if (G < 0.0).any():
+            penalties = penalties + staged_penalty(-G).sum(axis=1)
+        feasible = penalties == 0.0
+        iterations = np.asarray(iterations, dtype=float)
+        values = np.where(feasible, powers, powers + iterations * penalties)
+        return values, feasible, powers
+
     def error_probability(self, g: np.ndarray) -> float:
-        return fusion_error_probability(self.config, self.fading, g)
+        return float(self.error_probabilities(np.asarray(g, dtype=float)[None, :])[0])
 
     def constraint_margin(self, g: np.ndarray) -> float:
-        return constraint_margin(self.config, self.fading, g)
+        return self.error_probability(g) - self.config.epsilon
 
     def batch(self, G: np.ndarray, iterations: np.ndarray):
         """Evaluate a stack of gain vectors; see ``evaluate_rows``."""
-        return evaluate_rows(self.config, self.fading, G, iterations)
+        return self.evaluate_rows(G, iterations)

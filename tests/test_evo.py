@@ -237,6 +237,51 @@ class TestTrackedObjective:
             obj.evaluate(np.zeros(2))
         assert seen == [1.0, 1.0, 2.0, 2.0, 3.0]
 
+    def test_one_row_clock_matches_batch_at_period_boundaries(self):
+        period = 4
+
+        class PenaltyClock:
+            # Feasible when x > 0.5 (value = power); otherwise the value grows
+            # with the iteration, so a wrong clock changes the best.
+            dimension = 1
+            bounds = Bounds(0.0, 1.0)
+
+            def __init__(self):
+                self.seen = []
+
+            def batch(self, X, iterations):
+                self.seen.extend(np.asarray(iterations).tolist())
+                feasible = X[:, 0] > 0.5
+                powers = 10.0 * X[:, 0]
+                return np.where(feasible, powers, X[:, 0] * iterations), feasible, powers
+
+        # k runs over P-1, P, P+1 and 2P.  Row P (iteration 1, value 0.09)
+        # improves and row P+1 (iteration 2, value 0.12) does not; an
+        # off-by-one clock would swap the two.
+        X = np.array([[0.3], [0.2], [0.1], [0.09], [0.06], [0.9], [0.8], [0.85]])
+        one_by_one = TrackedObjective(PenaltyClock(), len(X) + 1, population_size=period)
+        for x in X:
+            one_by_one.evaluate(x)
+        ks = np.arange(1, len(X) + 1)
+        assert one_by_one.problem.seen == np.ceil(ks / period).tolist()
+        assert one_by_one.problem.seen[period - 2 : period + 1] == [1.0, 1.0, 2.0]
+        assert one_by_one.problem.seen[2 * period - 1] == 2.0
+
+        batched = TrackedObjective(PenaltyClock(), len(X) + 1, population_size=period)
+        batched.evaluate_batch(X)
+        assert batched.problem.seen == one_by_one.problem.seen
+        np.testing.assert_array_equal(one_by_one.best_x, batched.best_x)
+        assert one_by_one.best_f == batched.best_f == 8.0
+        assert one_by_one.best_feasible and batched.best_feasible
+        assert one_by_one.improvements == batched.improvements
+        assert [e for e, _ in one_by_one.improvements] == [1, 2, 3, 4, 6, 7]
+
+        one_by_one.evaluate(X[0])
+        with pytest.raises(BudgetExhausted):
+            one_by_one.evaluate(X[0])
+        assert one_by_one.evals_used == len(X) + 1
+        assert one_by_one.problem.seen[-1] == 3.0
+
     def test_probe_pins_iteration(self):
         seen = []
 

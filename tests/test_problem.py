@@ -15,7 +15,6 @@ from wsnopt.problem import (
     build_signal_covariance,
     constraint_margin,
     effective_noise_covariance,
-    error_probabilities,
     fusion_error_probability,
     monte_carlo_error_rate,
     penalized_objective,
@@ -178,7 +177,7 @@ class TestFusionErrorProbability:
                 np.where(rng.random(ell) < 0.5, 0.0, 15.0),
             ]
         )
-        kernel = problem_module._deflections(cfg, h, G)
+        kernel = PowerAllocationProblem(cfg, h).deflections(G)
         for g, s in zip(G, kernel):
             reference = problem_module._deflection(cfg, h, g)
             assert abs(s - reference) <= 1e-11 * reference
@@ -191,9 +190,25 @@ class TestFusionErrorProbability:
         h = sample_fading(cfg)
         rows = 2 * (problem_module._CHUNK_ELEMENTS // 300) + 7
         G = np.random.default_rng(8).uniform(0.0, 15.0, size=(rows, 300))
-        batch = error_probabilities(cfg, h, G)
+        prob = PowerAllocationProblem(cfg, h)
+        batch = prob.error_probabilities(G)
         for g, p in zip(G, batch):
-            assert p == error_probabilities(cfg, h, g[None, :])[0]
+            assert p == prob.error_probabilities(g[None, :])[0]
+
+    def test_cached_kernel_constants_survive_every_stack_size(self):
+        # dptsv overwrites its inputs in place; a cached constant handed to it
+        # would change every later result of the same problem.
+        cfg = WsnConfig(num_sensors=300, correlation=0.5, fading_seed=4)
+        h = sample_fading(cfg)
+        chunk = problem_module._CHUNK_ELEMENTS // 300
+        G = np.random.default_rng(12).uniform(0.0, 0.1, size=(chunk + 1, 300))
+        reference = [fusion_error_probability(cfg, h, g, method="matrix") for g in G]
+        prob = PowerAllocationProblem(cfg, h)
+        for rows in (1, chunk - 1, chunk, chunk + 1, 1):
+            p = prob.error_probabilities(G[:rows])
+            fresh = PowerAllocationProblem(cfg, h).error_probabilities(G[:rows])
+            assert p.tobytes() == fresh.tobytes()
+            np.testing.assert_allclose(p, reference[:rows], rtol=0.0, atol=1e-10)
 
     def test_non_finite_gains_rejected_when_correlated(self):
         # NaN or inf times a zero coupling is NaN, so a non-finite gain would
@@ -202,7 +217,7 @@ class TestFusionErrorProbability:
         G = np.ones((3, 4))
         G[0, 2] = np.nan
         with pytest.raises(ValueError):
-            error_probabilities(cfg, np.ones(4), G)
+            PowerAllocationProblem(cfg, np.ones(4)).error_probabilities(G)
 
     def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)
