@@ -54,9 +54,6 @@ class SubproblemView:
         full[:, self.indices] = sub_points
         return self.objective.evaluate_batch(full)
 
-    def evaluate(self, sub_x: np.ndarray) -> float:
-        return float(self.evaluate_batch(np.asarray(sub_x, dtype=float)[None, :])[0])
-
     def commit_if_better(self, sub_x: np.ndarray, value: float) -> bool:
         """Write the sub-vector into the context when it improves fitness."""
         if value < self.context.fitness:
@@ -119,8 +116,8 @@ def cc_optimize(
     objective: TrackedObjective,
     groups,
     make_subsolver,
+    rng: np.random.Generator,
     scheduler=None,
-    rng: np.random.Generator | None = None,
     initial: np.ndarray | None = None,
 ):
     """Run cooperative coevolution until the evaluation budget is spent.
@@ -133,7 +130,6 @@ def cc_optimize(
     random point is drawn.  The penalty clock is the tracker's, whatever
     the subsolvers' generation sizes.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
     bounds = objective.bounds
 

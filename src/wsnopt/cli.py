@@ -134,6 +134,8 @@ def _load_table(path: str):
         raise ValueError("need at least two algorithm columns")
     names = [header[j] for j in columns]
     data = np.array([[float(row[j]) for j in columns] for row in rows[1:]])
+    if not np.isfinite(data).all():
+        raise ValueError("table entries must be finite")
     return names, data
 
 

@@ -1,11 +1,12 @@
 """Variable-interaction discovery and decomposition into subproblem groups.
 
-Three graders of structure detection live here: a pairwise finite-difference
-interaction test, recursive differential grouping over index sets (with an
-optional group-size cap and separable-variable packing), and a spectral
-clustering variant that embeds the pairwise interaction-strength graph.
-Every probe is charged to the shared evaluation budget through the tracked
-objective, with the penalty iteration pinned so detection is consistent.
+One finite-difference interaction test serves two groupers: recursive
+differential grouping, which applies it to index sets (with an optional
+group-size cap and separable-variable packing), and a spectral clustering
+variant, which applies it to pairs and embeds the resulting
+interaction-strength graph.  Every probe is charged to the shared evaluation
+budget through the tracked objective, with the penalty iteration pinned so
+detection is consistent.
 """
 
 from __future__ import annotations
@@ -31,69 +32,33 @@ PROBE_BUDGET_FRACTION = 0.8
 
 @dataclass
 class GroupingResult:
-    """Partition of the variable indices plus probing metadata."""
+    """Partition of the variable indices into subproblem groups."""
 
     groups: list[np.ndarray]
-    separable: np.ndarray
-    probe_evals: int = 0
 
     @property
     def sizes(self) -> list[int]:
         return [len(g) for g in self.groups]
 
-    def assert_partition(self, dimension: int):
-        merged = np.concatenate(self.groups) if self.groups else np.empty(0, dtype=int)
-        if sorted(merged.tolist()) != list(range(dimension)):
-            raise AssertionError("groups do not partition the variable indices")
 
+def _interaction(f_base, f_a, f_b, f_ab, dimension: int):
+    """Finite-difference interaction test between two sets of variables.
 
-def _adaptive_threshold(f_values, dimension: int):
-    """Detection threshold scaled by dimension and function magnitude.
-
-    ``f_values`` holds the probe values of one test, each a scalar or an
-    array with one entry per test; the result has the same shape.
+    ``f_a`` and ``f_b`` are the values after moving set a or set b away from
+    the base point and ``f_ab`` after moving both; for additively separable
+    sets ``lam = |(f_a - f_base) - (f_ab - f_b)|`` is zero.  Returns ``lam``
+    and whether it exceeds the detection threshold, ``1e-12 * dimension``
+    times the smallest probe magnitude (at least 1).  The values are scalars
+    or arrays with one entry per test, and so are the results.
     """
-    alpha = 1e-12 * dimension
-    smallest = np.abs(np.broadcast_arrays(*f_values)).min(axis=0)
-    return alpha * np.maximum(smallest, 1.0)
+    lam = np.abs((f_a - f_base) - (f_ab - f_b))
+    smallest = np.abs(np.broadcast_arrays(f_base, f_a, f_b, f_ab)).min(axis=0)
+    return lam, lam > 1e-12 * dimension * np.maximum(smallest, 1.0)
 
 
 def _lower_corner(objective: TrackedObjective) -> np.ndarray:
     """Base point of every interaction probe: the box's lower-bound corner."""
     return np.full(objective.dimension, objective.bounds.lower, dtype=float)
-
-
-def dg_interaction(
-    objective: TrackedObjective,
-    i: int,
-    j: int,
-    delta: float | None = None,
-    threshold: float | None = None,
-) -> tuple[bool, float]:
-    """Pairwise finite-difference interaction test between variables i and j.
-
-    Compares the change from perturbing variable ``i`` alone with the same
-    perturbation applied after variable ``j`` has moved; a mismatch above the
-    detection threshold means the pair is non-separable.  Both moves start
-    from the lower-bound corner.  ``delta`` defaults to half the box width
-    and ``threshold`` to the adaptive one.  Costs exactly four budgeted
-    probe evaluations.
-    """
-    if i == j:
-        raise ValueError("interaction test needs two distinct variables")
-    base = _lower_corner(objective)
-    delta = 0.5 * objective.bounds.width if delta is None else float(delta)
-    x_i = base.copy()
-    x_i[i] += delta
-    x_j = base.copy()
-    x_j[j] += delta
-    x_ij = x_i.copy()
-    x_ij[j] += delta
-    f0, fi, fj, fij = objective.probe_batch(np.stack([base, x_i, x_j, x_ij]))
-    lam = abs((fi - f0) - (fij - fj))
-    if threshold is None:
-        threshold = _adaptive_threshold((f0, fi, fj, fij), objective.dimension)
-    return bool(lam > threshold), float(lam)
 
 
 class _SetTester:
@@ -124,18 +89,14 @@ class _SetTester:
         x12 = x2.copy()
         x12[nucleus] = self.high
         f2, f12 = self.objective.probe_batch(np.stack([x2, x12]))
-        lam = abs((f_nucleus - self.f_base) - (f12 - f2))
-        threshold = _adaptive_threshold(
-            (self.f_base, f_nucleus, f2, f12), self.objective.dimension
-        )
-        return bool(lam > threshold)
+        _, hit = _interaction(self.f_base, f_nucleus, f2, f12, self.objective.dimension)
+        return bool(hit)
 
 
 def _recursive_grouping(
     objective: TrackedObjective, cap: int
-) -> tuple[list[list[int]], list[int], int]:
+) -> tuple[list[list[int]], list[int]]:
     """Core recursive differential grouping loop of rdg3."""
-    used_before = objective.evals_used
     dim = objective.dimension
     tester = _SetTester(objective)
 
@@ -174,7 +135,7 @@ def _recursive_grouping(
         else:
             merged_groups.append(sorted(nucleus))
 
-    return merged_groups, separable, objective.evals_used - used_before
+    return merged_groups, separable
 
 
 def _pack(indices: list[int], pack_size: int) -> list[np.ndarray]:
@@ -201,10 +162,10 @@ def rdg3_group(
     """
     if size_cap < 1 or separable_pack < 1:
         raise ValueError("size_cap and separable_pack must be positive")
-    merged, separable, evals = _recursive_grouping(objective, int(size_cap))
+    merged, separable = _recursive_grouping(objective, int(size_cap))
     groups = [np.array(g, dtype=int) for g in merged]
     groups.extend(_pack(separable, separable_pack))
-    return GroupingResult(groups, np.array(separable, dtype=int), evals)
+    return GroupingResult(groups)
 
 
 def _flat_pair(i, j, dim: int):
@@ -212,9 +173,7 @@ def _flat_pair(i, j, dim: int):
     return i * (2 * dim - i - 1) // 2 + (j - i - 1)
 
 
-def similarity_matrix(
-    objective: TrackedObjective, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def similarity_matrix(objective: TrackedObjective, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of pairwise interaction strengths.
 
     All pairs are probed up to ``FULL_PROBE_DIMENSION`` variables; beyond
@@ -222,11 +181,10 @@ def similarity_matrix(
     ``MIN_PARTNERS`` sampled partners per variable) and the matrix is
     symmetrized.  The total probing cost is additionally capped at
     ``PROBE_BUDGET_FRACTION`` of the overall evaluation budget so a solver
-    phase can still follow.  Each pair is probed as in ``dg_interaction``
-    with its default step and threshold; entries at or below the threshold
-    are zeroed.
+    phase can still follow.  Pair ``(i, j)`` is tested by ``_interaction``
+    with both variables moved half the box width from the lower-bound
+    corner; entries at or below the threshold are zeroed.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     dim = objective.dimension
     base = _lower_corner(objective)
     delta = 0.5 * objective.bounds.width
@@ -266,17 +224,16 @@ def similarity_matrix(
         points[k, i] += delta
         points[k, j] += delta
         f_pair = objective.probe_batch(points)
-        lam = np.abs((f_single[i] - f_base) - (f_pair - f_single[j]))
-        hit = lam > _adaptive_threshold((f_base, f_single[i], f_single[j], f_pair), dim)
+        lam, hit = _interaction(f_base, f_single[i], f_single[j], f_pair, dim)
         weights[i[hit], j[hit]] = weights[j[hit], i[hit]] = lam[hit]
     return weights
 
 
 def dgsc_group(
     objective: TrackedObjective,
+    rng: np.random.Generator,
     k_groups: int | None = None,
     separable_pack: int = 100,
-    rng: np.random.Generator | None = None,
 ) -> GroupingResult:
     """Decomposition by spectral clustering of the interaction-strength graph.
 
@@ -286,8 +243,6 @@ def dgsc_group(
     k-means on the leading eigenvectors.  An entirely empty graph falls
     back to packing every variable.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    used_before = objective.evals_used
     dim = objective.dimension
     k = k_groups if k_groups is not None else math.ceil(dim / 100)
     if k < 1:
@@ -297,7 +252,6 @@ def dgsc_group(
     degree = weights.sum(axis=1)
     isolated = np.flatnonzero(degree == 0.0)
     connected = np.flatnonzero(degree > 0.0)
-    evals = objective.evals_used - used_before
 
     groups: list[np.ndarray] = []
     if connected.size:
@@ -318,4 +272,4 @@ def dgsc_group(
             if members.size:
                 groups.append(np.sort(members))
     groups.extend(_pack(isolated.tolist(), separable_pack))
-    return GroupingResult(groups, isolated, evals)
+    return GroupingResult(groups)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,13 +107,23 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config = cls(**raw)
-        config.population_sizes = {
-            int(k): int(v) for k, v in config.population_sizes.items()
-        }
+        if isinstance(config.population_sizes, dict):
+            config.population_sizes = {int(k): v for k, v in config.population_sizes.items()}
         config.validate()
         return config
 
     def validate(self):
+        if not isinstance(self.population_sizes, dict):
+            raise ValueError("population_sizes must map sensor counts to sizes")
+        counts = [("trials", self.trials), ("max_evals", self.max_evals),
+                  ("trace_step", self.trace_step), ("workers", self.workers),
+                  ("base_seed", self.base_seed)]
+        counts += [(f"population size for {k} sensors", v)
+                   for k, v in self.population_sizes.items()]
+        counts += [("sensor count", n) for block in self.grid for n in block["sensors"]]
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.max_evals < 1:
@@ -174,8 +185,8 @@ def run_trial(
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     rng = np.random.default_rng(seed)
     solve(algorithm, objective, rng, population)
-    # Scored by the row kernel directly, not through ``problem.batch``, so
-    # every batch row stays a budgeted evaluation.
+    # Only the tracker calls ``problem.batch``, so every row through it is a
+    # budgeted evaluation; this scoring row is not, and skips it.
     _, feasible, power = problem.evaluate_rows(objective.best_x, [1])
     return TrialRecord(
         case_id=case.case_id,
@@ -197,75 +208,66 @@ def _trial_job(args) -> TrialRecord:
 
 
 def sample_step_function(events, checkpoints) -> np.ndarray:
-    """Best-so-far values at the checkpoints from improvement events."""
-    out = np.empty(len(checkpoints))
-    current = math.nan
-    j = 0
-    for k, checkpoint in enumerate(checkpoints):
-        while j < len(events) and events[j][0] <= checkpoint:
-            current = events[j][1]
-            j += 1
-        out[k] = current
-    return out
+    """Best-so-far values at the checkpoints from improvement events.
+
+    ``events`` are ``(evaluation, value)`` pairs in evaluation order; a
+    checkpoint before the first event samples NaN.
+    """
+    events = np.asarray(events, dtype=float).reshape(-1, 2)
+    values = np.concatenate([[math.nan], events[:, 1]])
+    return values[np.searchsorted(events[:, 0], checkpoints, side="right")]
+
+
+def _write_csv(path: Path, header, rows):
+    """One comma-separated line for the header and for each row of cells."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_cell_files(directory: Path, records: list):
     """Per-trial results and gain vectors for one case and algorithm."""
     directory.mkdir(parents=True, exist_ok=True)
-    lines = ["trial,seed,best_f,feasible,evals"]
-    for r in records:
-        lines.append(
-            f"{r.trial},{r.seed},{fmt(r.best_f)},{int(r.feasible)},{r.evals_used}"
-        )
-    (directory / "trials.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    _write_csv(
+        directory / "trials.csv",
+        ["trial", "seed", "best_f", "feasible", "evals"],
+        ([str(r.trial), str(r.seed), fmt(r.best_f), str(int(r.feasible)), str(r.evals_used)]
+         for r in records),
+    )
     width = len(records[0].gains)
-    header = ["trial", "seed", "power"] + [f"g{i}" for i in range(width)]
-    lines = [",".join(header)]
-    for r in records:
-        cells = [str(r.trial), str(r.seed), fmt(r.power)]
-        cells.extend(fmt(v) for v in r.gains)
-        lines.append(",".join(cells))
-    (directory / "gains.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        directory / "gains.csv",
+        ["trial", "seed", "power"] + [f"g{i}" for i in range(width)],
+        ([str(r.trial), str(r.seed), fmt(r.power)] + [fmt(v) for v in r.gains]
+         for r in records),
+    )
 
 
 def write_trace_file(path: Path, algorithms, traces, checkpoints):
     """Mean best-so-far per algorithm at each evaluation checkpoint."""
-    lines = [",".join(["eval"] + list(algorithms))]
-    for k, checkpoint in enumerate(checkpoints):
-        row = [str(int(checkpoint))]
-        row.extend(fmt(traces[a][k]) for a in algorithms)
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path,
+        ["eval"] + list(algorithms),
+        ([str(int(c))] + [fmt(traces[a][k]) for a in algorithms]
+         for k, c in enumerate(checkpoints)),
+    )
 
 
 def write_summary(path: Path, cases, algorithms, means: np.ndarray):
-    lines = [",".join(["case"] + list(algorithms))]
-    for i, case_id in enumerate(cases):
-        row = [case_id] + [fmt(v) for v in means[i]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path,
+        ["case"] + list(algorithms),
+        ([case_id] + [fmt(v) for v in means[i]] for i, case_id in enumerate(cases)),
+    )
 
 
 def write_details(path: Path, cases, algorithms, cells):
-    lines = ["case,algorithm,mean,median,std,min,feasible_rate"]
+    rows = []
     for case_id in cases:
         for algo in algorithms:
             s = cells[(case_id, algo)]
-            lines.append(
-                ",".join(
-                    [
-                        case_id,
-                        algo,
-                        fmt(s.mean),
-                        fmt(s.median),
-                        fmt(s.std),
-                        fmt(s.minimum),
-                        fmt(s.feasible_rate),
-                    ]
-                )
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append([case_id, algo] + [fmt(v) for v in (
+                s.mean, s.median, s.std, s.minimum, s.feasible_rate)])
+    _write_csv(path, ["case", "algorithm", "mean", "median", "std", "min", "feasible_rate"], rows)
 
 
 def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
@@ -273,27 +275,24 @@ def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
     if len(cases) < 2 or len(algorithms) < 2:
         return
     ranks = friedman_ranks(means)
-    lines = ["algorithm,average_rank,normalized,order"]
-    for j, algo in enumerate(algorithms):
-        lines.append(
-            f"{algo},{fmt(ranks.average_ranks[j])},{fmt(ranks.normalized[j])},"
-            f"{ranks.order[j]}"
-        )
-    (root / "ranks.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        root / "ranks.csv",
+        ["algorithm", "average_rank", "normalized", "order"],
+        ([algo, fmt(ranks.average_ranks[j]), fmt(ranks.normalized[j]), str(ranks.order[j])]
+         for j, algo in enumerate(algorithms)),
+    )
 
     baseline = int(np.argmin(ranks.average_ranks))
     try:
         tests = paired_rank_tests(means, baseline)
     except ValueError:
         return
-    lines = [f"baseline,{algorithms[baseline]}", "algorithm,p_value,statistic,n,exact"]
+    rows = [["algorithm", "p_value", "statistic", "n", "exact"]]
     for col in sorted(tests):
         t = tests[col]
-        lines.append(
-            f"{algorithms[col]},{fmt(t.p_value)},{fmt(t.statistic)},{t.n_used},"
-            f"{int(t.exact)}"
-        )
-    (root / "pairwise.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append([algorithms[col], fmt(t.p_value), fmt(t.statistic), str(t.n_used),
+                     str(int(t.exact))])
+    _write_csv(root / "pairwise.csv", ["baseline", algorithms[baseline]], rows)
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None):

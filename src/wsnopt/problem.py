@@ -229,34 +229,6 @@ def staged_penalty(violations: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, weights * np.where(v < 1.0, v, v * v), 0.0)
 
 
-def _powers(G: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", G, G)
-
-
-def total_power(g: np.ndarray) -> float:
-    """Total transmit power, the sum of squared gains."""
-    return float(_powers(np.atleast_2d(np.asarray(g, dtype=float)))[0])
-
-
-def constraint_margin(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
-    """Error-probability constraint value; positive means violated."""
-    return PowerAllocationProblem(config, h).constraint_margin(g)
-
-
-def penalized_objective(
-    config: WsnConfig, h: np.ndarray, g: np.ndarray, iteration: int
-) -> float:
-    """Total power plus the iteration-scaled penalty for constraint violations.
-
-    A batch of one through ``PowerAllocationProblem.evaluate_rows``; on
-    feasible points the result equals ``total_power(g)`` exactly.
-    """
-    if iteration < 1:
-        raise ValueError("iteration must be at least 1")
-    values, _, _ = PowerAllocationProblem(config, h).evaluate_rows(g, [iteration])
-    return float(values[0])
-
-
 class PowerAllocationProblem:
     """A config paired with one channel draw, evaluated as a penalized objective.
 
@@ -353,11 +325,12 @@ class PowerAllocationProblem:
         ``values`` adds the iteration-scaled penalty to the power of the other
         rows.  Violations are the positive part of the error-probability
         margin and of each negated gain.  Feasible rows have
-        ``values == powers`` exactly.  Unlike ``batch``, this is not the
-        budgeted entry point.
+        ``values == powers`` exactly.  ``batch`` is this same call, and only
+        ``TrackedObjective`` calls it, so every row through ``batch`` is a
+        budgeted evaluation; scoring outside the budget calls this method.
         """
         G = np.atleast_2d(np.asarray(G, dtype=float))
-        powers = _powers(G)
+        powers = np.einsum("ij,ij->i", G, G)
         penalties = staged_penalty(self.error_probabilities(G) - self.config.epsilon)
         if (G < 0.0).any():
             penalties = penalties + staged_penalty(-G).sum(axis=1)

@@ -32,7 +32,7 @@ def _decompose_then_coevolve(objective, rng, group, make_subsolver, scheduler):
     if objective.remaining <= 0:
         return objective
     return cc_optimize(
-        objective, groups, make_subsolver, scheduler, rng, initial=objective.best_x
+        objective, groups, make_subsolver, rng, scheduler, initial=objective.best_x
     )
 
 

@@ -226,7 +226,7 @@ def test_decomposition_recovers_known_interaction_structure():
     result = rdg3_group(TrackedObjective(problem, 10_000), size_cap=12, separable_pack=1)
     assert sorted(g[0] for g in result.groups) == list(range(12))
     assert all(len(g) == 1 for g in result.groups)
-    assert sorted(result.separable.tolist()) == list(range(12))
+    assert result.sizes == [1] * 12
 
     def paired(x):
         return float(x[0] * x[5] + x[1] * x[6] + x[2] * x[7] + x[3] * x[8] + x[4] * x[9])
@@ -235,7 +235,7 @@ def test_decomposition_recovers_known_interaction_structure():
     result = rdg3_group(TrackedObjective(problem, 10_000), size_cap=10, separable_pack=1)
     pairs = sorted(tuple(sorted(g)) for g in result.groups if len(g) > 1)
     assert pairs == [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
-    assert result.separable.size == 0
+    assert min(result.sizes) >= 2
 
     def chain(x):
         shifted = x - 1.0

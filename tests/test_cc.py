@@ -54,7 +54,7 @@ class TestSubproblemView:
 
     def test_evaluates_spliced_vector(self):
         obj, context, view = self.make_view([2])
-        value = view.evaluate(np.array([3.0]))
+        value = view.evaluate_batch(np.array([[3.0]]))[0]
         assert value == pytest.approx(18.0)
         assert obj.evals_used == 1
         # evaluation alone must not move the context

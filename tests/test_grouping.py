@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
-from wsnopt.grouping import (
-    dg_interaction,
-    dgsc_group,
-    rdg3_group,
-    similarity_matrix,
-)
+from wsnopt.grouping import dgsc_group, rdg3_group, similarity_matrix
 
 
 def make_objective(fn, dim, bounds=Bounds(0.0, 15.0), max_evals=200000):
@@ -50,45 +45,49 @@ def group_sets(result):
     return {frozenset(g.tolist()) for g in result.groups}
 
 
+def assert_partition(result, dimension):
+    merged = np.concatenate(result.groups) if result.groups else np.empty(0, dtype=int)
+    assert sorted(merged.tolist()) == list(range(dimension))
+
+
+def counted(fn):
+    """``fn`` plus a list that grows by one entry per call."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(1)
+        return fn(x)
+
+    return wrapper, calls
+
+
+def pair_weights(fn, dim, bounds=Bounds(0.0, 15.0)):
+    return similarity_matrix(make_objective(fn, dim, bounds), rng=np.random.default_rng(0))
+
+
 class TestDgInteraction:
+    """The pairwise test, as ``similarity_matrix`` applies it to each pair."""
+
     def test_product_pair_detected_with_unit_perturbation(self):
-        obj = make_objective(product_pairs, 2, bounds=Bounds(0.0, 2.0))
-        interacts, lam = dg_interaction(obj, 0, 1, delta=1.0)
-        assert interacts
-        assert lam == pytest.approx(1.0)
+        # Half the width of [0, 2] is a unit step.
+        weights = pair_weights(product_pairs, 2, bounds=Bounds(0.0, 2.0))
+        assert weights[0, 1] == pytest.approx(1.0)
 
     def test_separable_function_has_zero_strength(self):
-        obj = make_objective(sphere, 4)
-        interacts, lam = dg_interaction(obj, 1, 3)
-        assert not interacts
-        assert lam == 0.0
+        assert pair_weights(sphere, 4)[1, 3] == 0.0
 
     @pytest.mark.parametrize(
         "i, j, expected",
         [(0, 1, True), (0, 2, False), (2, 3, False), (3, 4, True), (1, 4, False)],
     )
     def test_mixed_structure(self, i, j, expected):
-        obj = make_objective(mixed, 5)
-        interacts, _ = dg_interaction(obj, i, j)
-        assert interacts is expected
-
-    def test_same_variable_rejected(self):
-        obj = make_objective(sphere, 3)
-        with pytest.raises(ValueError):
-            dg_interaction(obj, 2, 2)
+        assert bool(pair_weights(mixed, 5)[i, j] != 0.0) is expected
 
     def test_costs_four_evaluations(self):
-        obj = make_objective(mixed, 5)
-        dg_interaction(obj, 0, 1)
+        # Two variables: the base point, each single move and the pair move.
+        obj = make_objective(product_pairs, 2)
+        similarity_matrix(obj, rng=np.random.default_rng(0))
         assert obj.evals_used == 4
-        dg_interaction(obj, 0, 2)
-        assert obj.evals_used == 8
-
-    def test_threshold_override_can_suppress_detection(self):
-        obj = make_objective(product_pairs, 2, bounds=Bounds(0.0, 2.0))
-        interacts, lam = dg_interaction(obj, 0, 1, delta=1.0, threshold=10.0)
-        assert not interacts
-        assert lam == pytest.approx(1.0)
 
 
 class TestRdg:
@@ -97,9 +96,8 @@ class TestRdg:
     def test_sphere_fully_separable(self):
         obj = make_objective(sphere, 10)
         result = rdg3_group(obj, size_cap=10, separable_pack=1)
-        assert sorted(result.separable.tolist()) == list(range(10))
         assert result.sizes == [1] * 10
-        result.assert_partition(10)
+        assert_partition(result, 10)
 
     def test_product_blocks_recovered(self):
         obj = make_objective(product_pairs, 6)
@@ -109,7 +107,7 @@ class TestRdg:
             frozenset({2, 3}),
             frozenset({4, 5}),
         }
-        assert result.separable.size == 0
+        assert min(result.sizes) >= 2
 
     def test_mixed_structure(self):
         obj = make_objective(mixed, 5)
@@ -119,7 +117,7 @@ class TestRdg:
             frozenset({3, 4}),
             frozenset({2}),
         }
-        assert result.separable.tolist() == [2]
+        assert [g.tolist() for g in result.groups if len(g) == 1] == [[2]]
 
     def test_chain_merges_into_one_group(self):
         obj = make_objective(rosenbrock, 8)
@@ -127,10 +125,11 @@ class TestRdg:
         assert group_sets(result) == {frozenset(range(8))}
 
     def test_probe_evals_match_budget(self):
-        obj = make_objective(mixed, 5)
-        result = rdg3_group(obj, size_cap=5, separable_pack=1)
-        assert result.probe_evals == obj.evals_used
-        assert result.probe_evals > 0
+        fn, calls = counted(mixed)
+        obj = make_objective(fn, 5)
+        rdg3_group(obj, size_cap=5, separable_pack=1)
+        assert obj.evals_used == len(calls)
+        assert obj.evals_used > 0
 
 
 class TestRdg3:
@@ -140,7 +139,7 @@ class TestRdg3:
         assert result.sizes == [3, 3, 3, 1]
         assert result.groups[0].tolist() == [0, 1, 2]
         assert result.groups[3].tolist() == [9]
-        assert sorted(result.separable.tolist()) == list(range(10))
+        assert [g.tolist() for g in result.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
 
     def test_small_nonseparable_blocks_untouched_by_cap(self):
         obj = make_objective(product_pairs, 6)
@@ -153,11 +152,12 @@ class TestRdg3:
 
     def test_chain_cut_by_size_cap(self):
         obj = make_objective(rosenbrock, 12)
-        result = rdg3_group(obj, size_cap=4)
+        # Separables stand alone, so a group of one would be a separable.
+        result = rdg3_group(obj, size_cap=4, separable_pack=1)
         assert len(result.groups) >= 2
         assert max(result.sizes) <= 5
-        result.assert_partition(12)
-        assert result.separable.size == 0
+        assert_partition(result, 12)
+        assert min(result.sizes) >= 2
 
     def test_cap_at_dimension_matches_uncapped_grouping(self):
         merged_capped = group_sets(rdg3_group(make_objective(rosenbrock, 8), size_cap=8))
@@ -169,7 +169,7 @@ class TestRdg3:
         result = rdg3_group(obj, size_cap=4)
         assert len(result.groups) >= 2
         assert max(result.sizes) <= 5
-        result.assert_partition(12)
+        assert_partition(result, 12)
 
     @pytest.mark.parametrize("kwargs", [{"size_cap": 0}, {"separable_pack": 0}])
     def test_invalid_parameters_rejected(self, kwargs):
@@ -180,8 +180,7 @@ class TestRdg3:
 
 class TestSimilarityMatrix:
     def test_block_structure_and_symmetry(self):
-        obj = make_objective(product_pairs, 6)
-        weights = similarity_matrix(obj)
+        weights = pair_weights(product_pairs, 6)
         assert weights[0, 1] > 0.0
         assert weights[2, 3] > 0.0
         assert weights[4, 5] > 0.0
@@ -189,25 +188,31 @@ class TestSimilarityMatrix:
         assert weights[1, 4] == 0.0
         np.testing.assert_array_equal(weights, weights.T)
 
-    @pytest.mark.parametrize("fn, dim", [(mixed, 5), (rosenbrock, 6), (shuffled_products, 6)])
-    def test_entries_are_pairwise_interaction_strengths(self, fn, dim):
-        weights = similarity_matrix(make_objective(fn, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                interacts, lam = dg_interaction(make_objective(fn, dim), i, j)
-                assert (weights[i, j] != 0.0) == interacts
-                if interacts:
-                    assert weights[i, j] == pytest.approx(lam, rel=1e-12)
+    # Every move is delta = 7.5 from the origin of [0, 15]: a bilinear pair
+    # x_i*x_j has strength delta**2, an adjacent Rosenbrock pair, through its
+    # term -200*x_i**2*x_(i+1), has 200*delta**3, and every other pair 0.
+    @pytest.mark.parametrize(
+        "fn, dim, strengths",
+        [
+            (mixed, 5, {(0, 1): 7.5**2, (3, 4): 7.5**2}),
+            (rosenbrock, 6, {(i, i + 1): 200.0 * 7.5**3 for i in range(5)}),
+            (shuffled_products, 6, {(0, 3): 7.5**2, (1, 4): 7.5**2, (2, 5): 7.5**2}),
+        ],
+        ids=["mixed-5", "rosenbrock-6", "shuffled_products-6"],
+    )
+    def test_entries_are_pairwise_interaction_strengths(self, fn, dim, strengths):
+        expected = np.zeros((dim, dim))
+        for (i, j), strength in strengths.items():
+            expected[i, j] = expected[j, i] = strength
+        np.testing.assert_array_equal(pair_weights(fn, dim), expected)
 
     def test_separable_function_gives_zero_matrix(self):
-        obj = make_objective(sphere, 5)
-        weights = similarity_matrix(obj)
-        assert not weights.any()
+        assert not pair_weights(sphere, 5).any()
 
     def test_full_probe_cost(self):
         dim = 6
         obj = make_objective(product_pairs, dim)
-        similarity_matrix(obj)
+        similarity_matrix(obj, rng=np.random.default_rng(0))
         assert obj.evals_used == 1 + dim + dim * (dim - 1) // 2
 
     def test_pair_sampling_respects_budget_cap(self):
@@ -245,13 +250,13 @@ class TestDgsc:
             frozenset({3, 4}),
             frozenset({2}),
         }
-        assert result.separable.tolist() == [2]
+        # Two clusters, so the group of one is the packed isolated variable.
+        assert result.groups[-1].tolist() == [2]
 
     def test_zero_matrix_falls_back_to_packing(self):
         obj = make_objective(sphere, 10)
         result = dgsc_group(obj, separable_pack=4, rng=np.random.default_rng(0))
-        assert result.sizes == [4, 4, 2]
-        assert sorted(result.separable.tolist()) == list(range(10))
+        assert [g.tolist() for g in result.groups] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_default_group_count_scales_with_dimension(self):
         # ceil(6 / 100) == 1, so everything connected lands in one cluster
@@ -270,12 +275,13 @@ class TestDgsc:
         assert group_sets(first) == group_sets(second)
 
     def test_probe_evals_match_budget(self):
-        obj = make_objective(product_pairs, 6)
+        fn, calls = counted(product_pairs)
+        obj = make_objective(fn, 6)
         result = dgsc_group(obj, k_groups=3, rng=np.random.default_rng(0))
-        assert result.probe_evals == obj.evals_used
-        result.assert_partition(6)
+        assert obj.evals_used == len(calls) == 1 + 6 + 15
+        assert_partition(result, 6)
 
     def test_invalid_group_count_rejected(self):
         obj = make_objective(sphere, 4)
         with pytest.raises(ValueError):
-            dgsc_group(obj, k_groups=0)
+            dgsc_group(obj, k_groups=0, rng=np.random.default_rng(0))

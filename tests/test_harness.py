@@ -194,6 +194,16 @@ class TestStepSampling:
         out = sample_step_function([(1, 5.0)], [100, 200])
         assert out.tolist() == [5.0, 5.0]
 
+    def test_checkpoint_before_first_event_is_nan(self):
+        out = sample_step_function([(150, 4.0), (300, 1.0)], [100, 150, 299, 300])
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [4.0, 4.0, 1.0]
+
+    def test_empty_trace_is_all_nan(self):
+        out = sample_step_function([], [100, 200])
+        assert out.shape == (2,)
+        assert np.isnan(out).all()
+
 
 @pytest.fixture(scope="module")
 def experiment(tmp_path_factory):
@@ -339,6 +349,15 @@ class TestCli:
             ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [1.0]}]}, "correlation"),
             ({"trace_step": 0}, "trace_step"),
             ({"population_sizes": {"8": 9}}, "eade needs a population"),
+            ({"trials": 2.5}, "trials must be an integer"),
+            ({"trials": True}, "trials must be an integer"),
+            ({"max_evals": 100.5}, "max_evals must be an integer"),
+            ({"trace_step": "100"}, "trace_step must be an integer"),
+            ({"workers": "2"}, "workers must be an integer"),
+            ({"base_seed": 7.0}, "base_seed must be an integer"),
+            ({"population_sizes": [10]}, "population_sizes must map"),
+            ({"population_sizes": {"8": 20.0}}, "population size for 8 sensors"),
+            ({"grid": [{"sensors": [8.0], "epsilon": [0.1], "rho": [0.0]}]}, "sensor count"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
@@ -448,6 +467,12 @@ class TestCli:
         rc = main(["stats", str(tmp_path / "absent.csv")])
         assert rc == 2
         assert "table error" in capsys.readouterr().err
+
+    def test_stats_rejects_non_finite_entry(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("case,a,b\nc1,1.0,2.0\nc2,nan,3.0\nc3,4.0,5.0\n")
+        assert main(["stats", str(table)]) == 2
+        assert "table error: table entries must be finite" in capsys.readouterr().err
 
     def test_validate_subcommand_passes(self, capsys):
         rc = main(["validate", "--samples", "20000", "--configs", "4", "--seed", "1"])

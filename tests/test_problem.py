@@ -13,15 +13,19 @@ from wsnopt.problem import (
     RAYLEIGH_UNIT_MEAN_SCALE,
     WsnConfig,
     build_signal_covariance,
-    constraint_margin,
     effective_noise_covariance,
     fusion_error_probability,
     monte_carlo_error_rate,
-    penalized_objective,
     q_function,
     sample_fading,
-    total_power,
 )
+
+
+def evaluate_one(cfg, h, g, iteration):
+    """Penalized value and power of one gain vector, as a batch of one."""
+    g = np.asarray(g, dtype=float)
+    values, _, powers = PowerAllocationProblem(cfg, h).evaluate_rows(g[None, :], [iteration])
+    return values[0], powers[0]
 
 
 def gaussian_tail_oracle(x: float) -> float:
@@ -274,14 +278,16 @@ class TestMonteCarloOracle:
 
 class TestPenalty:
     def test_total_power(self):
-        assert total_power(np.array([3.0, 4.0])) == pytest.approx(25.0)
-        assert total_power(np.zeros(10)) == 0.0
+        cfg = WsnConfig(num_sensors=2)
+        assert evaluate_one(cfg, np.ones(2), [3.0, 4.0], 1)[1] == pytest.approx(25.0)
+        cfg = WsnConfig(num_sensors=10)
+        assert evaluate_one(cfg, np.ones(10), np.zeros(10), 1)[1] == 0.0
 
     def test_constraint_margin_sign(self):
         cfg = WsnConfig(num_sensors=5, epsilon=0.1, fading_seed=4)
-        h = sample_fading(cfg)
-        assert constraint_margin(cfg, h, np.zeros(5)) == pytest.approx(0.4)
-        assert constraint_margin(cfg, h, np.full(5, 10.0)) < 0.0
+        prob = PowerAllocationProblem(cfg)
+        assert prob.constraint_margin(np.zeros(5)) == pytest.approx(0.4)
+        assert prob.constraint_margin(np.full(5, 10.0)) < 0.0
 
     def test_stage_boundaries(self):
         # Feasible in error probability; the only violation is one gain at -v.
@@ -297,25 +303,27 @@ class TestPenalty:
         ]
         for v, penalty in stages:
             g = np.array([8.0, 8.0, -v])
-            assert constraint_margin(cfg, h, g) < 0.0
+            assert PowerAllocationProblem(cfg, h).constraint_margin(g) < 0.0
             for iteration in (1, 3):
-                expected = total_power(g) + iteration * penalty
-                assert penalized_objective(cfg, h, g, iteration) == expected
+                value, power = evaluate_one(cfg, h, g, iteration)
+                assert value == power + iteration * penalty
 
     def test_zero_gain_penalty_hand_value(self):
         # At the origin the power is zero and the only violation is the
         # error margin 0.5 - epsilon = 0.4, in the middle stage.
         cfg = WsnConfig(num_sensors=6, epsilon=0.1, fading_seed=8)
         h = sample_fading(cfg)
-        assert penalized_objective(cfg, h, np.zeros(6), 1) == pytest.approx(40.0)
-        assert penalized_objective(cfg, h, np.zeros(6), 7) == pytest.approx(280.0)
+        assert evaluate_one(cfg, h, np.zeros(6), 1)[0] == pytest.approx(40.0)
+        assert evaluate_one(cfg, h, np.zeros(6), 7)[0] == pytest.approx(280.0)
 
     def test_feasible_point_is_exactly_power(self):
         cfg = WsnConfig(num_sensors=4, epsilon=0.1, fading_seed=3)
         h = sample_fading(cfg)
         g = np.full(4, 5.0)
-        assert constraint_margin(cfg, h, g) < 0.0
-        assert penalized_objective(cfg, h, g, 123) == total_power(g)
+        assert PowerAllocationProblem(cfg, h).constraint_margin(g) < 0.0
+        value, power = evaluate_one(cfg, h, g, 123)
+        assert value == power
+        assert power == float(g @ g)
 
     def test_negative_gain_terms(self):
         # Feasible in error probability but one gain is negative by 0.05:
@@ -323,20 +331,15 @@ class TestPenalty:
         cfg = WsnConfig(num_sensors=3, epsilon=0.1, fading_seed=1)
         h = sample_fading(cfg)
         g = np.array([8.0, 8.0, -0.05])
-        expected = total_power(g) + 4 * 10.0 * 0.05
-        assert penalized_objective(cfg, h, g, 4) == pytest.approx(expected)
+        expected = float(g @ g) + 4 * 10.0 * 0.05
+        assert evaluate_one(cfg, h, g, 4)[0] == pytest.approx(expected)
 
     def test_large_violation_squared(self):
         cfg = WsnConfig(num_sensors=3, epsilon=0.1, fading_seed=1)
         h = sample_fading(cfg)
         g = np.array([8.0, 8.0, -1.5])
-        expected = total_power(g) + 2 * 300.0 * 1.5**2
-        assert penalized_objective(cfg, h, g, 2) == pytest.approx(expected)
-
-    def test_iteration_must_be_positive(self):
-        cfg = WsnConfig(num_sensors=2)
-        with pytest.raises(ValueError):
-            penalized_objective(cfg, np.ones(2), np.ones(2), 0)
+        expected = float(g @ g) + 2 * 300.0 * 1.5**2
+        assert evaluate_one(cfg, h, g, 2)[0] == pytest.approx(expected)
 
 
 class TestProblemBatch:
@@ -349,8 +352,9 @@ class TestProblemBatch:
         iters = np.arange(1, 10, dtype=float)
         values, feasible, powers = prob.batch(G, iters)
         for k in range(9):
-            assert values[k] == penalized_objective(cfg, prob.fading, G[k], int(iters[k]))
-            assert powers[k] == total_power(G[k])
+            value, power = evaluate_one(cfg, prob.fading, G[k], iters[k])
+            assert values[k] == value
+            assert powers[k] == power
             is_feasible = prob.constraint_margin(G[k]) <= 0.0 and np.all(G[k] >= 0.0)
             assert feasible[k] == is_feasible
 

@@ -19,8 +19,6 @@ from wsnopt.problem import (  # noqa: E402
     PowerAllocationProblem,
     WsnConfig,
     fusion_error_probability,
-    penalized_objective,
-    total_power,
 )
 
 # Derandomized and without an example database, so every run checks the
@@ -59,9 +57,10 @@ def test_batch_rows_are_scalar_calls(rho, data):
     prob, G, iterations = data.draw(instances(rho))
     cfg, h = prob.config, prob.fading
     values, feasible, powers = prob.batch(G, iterations)
-    for k, g in enumerate(G):
-        assert values[k] == penalized_objective(cfg, h, g, int(iterations[k]))
-        assert powers[k] == total_power(g)
+    for k in range(len(G)):
+        one = PowerAllocationProblem(cfg, h).evaluate_rows(G[k : k + 1], [iterations[k]])
+        assert values[k] == one[0][0]
+        assert powers[k] == one[2][0]
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5])
