@@ -70,7 +70,8 @@ class CrossoverRatePool:
 
 
 def eade_mutation(
-    sorted_positions: np.ndarray,
+    positions: np.ndarray,
+    order: np.ndarray,
     n_slice: int,
     n: int,
     rng: np.random.Generator,
@@ -79,22 +80,30 @@ def eade_mutation(
 ) -> np.ndarray:
     """``n`` donors, each from one top-slice, one middle and one bottom-slice member.
 
-    ``sorted_positions`` must be ordered best to worst.  The slices are the
-    first and last ``n_slice`` rows; each donor is its middle member pulled
-    toward its top one and pushed away from its bottom one by uniform random
-    weights (or the given ``f_top`` / ``f_bottom``).
+    ``order`` ranks the rows of ``positions`` best to worst.  The slices are
+    the first and last ``n_slice`` ranks; each donor is its middle member
+    pulled toward its top one and pushed away from its bottom one by uniform
+    random weights (or the given ``f_top`` / ``f_bottom``), that is
+    ``mid + f_top*(top - mid) + f_bottom*(mid - bottom)``, computed in place
+    in the gathered rows.
     """
-    n_pop = len(sorted_positions)
+    n_pop = len(order)
     if n_slice < 1 or n_pop - 2 * n_slice < 1:
         raise ValueError("rank slices are empty for this population size")
-    top = sorted_positions[rng.integers(n_slice, size=n)]
-    mid = sorted_positions[rng.integers(n_slice, n_pop - n_slice, size=n)]
-    bottom = sorted_positions[rng.integers(n_pop - n_slice, n_pop, size=n)]
+    top = positions[order[rng.integers(n_slice, size=n)]]
+    mid = positions[order[rng.integers(n_slice, n_pop - n_slice, size=n)]]
+    bottom = positions[order[rng.integers(n_pop - n_slice, n_pop, size=n)]]
     if f_top is None:
         f_top = rng.random((n, 1))
     if f_bottom is None:
         f_bottom = rng.random((n, 1))
-    return mid + f_top * (top - mid) + f_bottom * (mid - bottom)
+    top -= mid
+    top *= f_top
+    np.subtract(mid, bottom, out=bottom)
+    bottom *= f_bottom
+    mid += top
+    mid += bottom
+    return mid
 
 
 def eade(
@@ -140,11 +149,16 @@ def eade(
         rand_rows = ~slice_rows
         donors = np.empty((n, objective.dimension))
         donors[slice_rows] = eade_mutation(
-            pop[np.argsort(fit, kind="stable")], n_slice, int(slice_rows.sum()), rng
+            pop, np.argsort(fit, kind="stable"), n_slice, int(slice_rows.sum()), rng
         )
         r1, r2, r3 = pick_distinct(n, (n_pop,) * 3, rng)[rand_rows].T
         f_weight = rng.uniform(F_LOW, F_HIGH, size=(len(r1), 1))
-        donors[rand_rows] = pop[r1] + f_weight * (pop[r2] - pop[r3])
+        # pop[r1] + f_weight * (pop[r2] - pop[r3]), in place in the gathered rows.
+        rand_donors = pop[r2]
+        rand_donors -= pop[r3]
+        rand_donors *= f_weight
+        rand_donors += pop[r1]
+        donors[rand_rows] = rand_donors
         trials = reflect_into_bounds(
             binomial_crossover(pop[:n], donors, cr, rng), bounds
         )

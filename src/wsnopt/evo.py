@@ -219,12 +219,16 @@ def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
 
     A coordinate below the lower face maps to ``2*lower - x`` and one above
     the upper face to ``2*upper - x``; anything still outside after one
-    reflection is clamped to the nearer face.
+    reflection is clamped to the nearer face.  The input is copied once and
+    the copy repaired in place; both faces' masks are taken before either
+    reflection, so no coordinate is reflected twice.
     """
-    x = np.asarray(position, dtype=float)
+    x = np.array(position, dtype=float)
     low, high = bounds.lower, bounds.upper
-    x = np.where(x < low, 2.0 * low - x, np.where(x > high, 2.0 * high - x, x))
-    return np.clip(x, low, high)
+    below, above = x < low, x > high
+    np.subtract(2.0 * low, x, out=x, where=below)
+    np.subtract(2.0 * high, x, out=x, where=above)
+    return np.clip(x, low, high, out=x)
 
 
 def linear_pop_size_reduction(used: int, max_evals: int, n_init: int) -> int:

@@ -124,6 +124,10 @@ class ExperimentConfig:
         for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("rho", "epsilon"):
+            for value in (v for block in self.grid for v in block[name]):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} must be a number, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.max_evals < 1:

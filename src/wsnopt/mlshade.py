@@ -167,10 +167,10 @@ def _history_de_trials(pop, fit, group, rng, state):
 def _slice_de_trials(pop, fit, group, rng, pool):
     n_pop = len(pop)
     n_slice = max(1, int(0.1 * n_pop))
-    ranked = pop[np.argsort(fit, kind="stable")][:, group]
+    sub = pop[:, group]
     drawn, cr = pool.draw(n_pop, rng)
-    donors = eade_mutation(ranked, n_slice, n_pop, rng)
-    trials = binomial_crossover(pop[:, group], donors, cr, rng)
+    donors = eade_mutation(sub, np.argsort(fit, kind="stable"), n_slice, n_pop, rng)
+    trials = binomial_crossover(sub, donors, cr, rng)
     return trials, lambda improved, gains: pool.record(drawn, improved)
 
 

@@ -32,8 +32,8 @@ from .evo import Bounds
 # Rayleigh scale that yields unit-mean channel amplitudes.
 RAYLEIGH_UNIT_MEAN_SCALE = math.sqrt(2.0 / math.pi)
 
-# Elements per tridiagonal solve of the correlated kernel; a batch is solved
-# in chunks of about this many, which bounds the solve's temporaries.
+# Elements per chunk of rows the kernel evaluates at a time, on both paths,
+# which bounds the size of its temporaries.
 _CHUNK_ELEMENTS = 1 << 16
 # Received vectors simulated per draw of ``monte_carlo_error_rate``.
 _SAMPLE_CHUNK = 1 << 16
@@ -251,11 +251,12 @@ class PowerAllocationProblem:
         self.bounds = bounds if bounds is not None else Bounds()
         self._signal_power = config.signal_power
         self._white = config.correlation == 0.0 or config.num_sensors == 1
+        L = config.num_sensors
+        self._chunk = max(1, _CHUNK_ELEMENTS // L)
         if self._white:
             return
         # The tridiagonal constants of ``deflections``.  ``dptsv`` overwrites
         # its inputs, so it is only ever handed fresh arrays built from these.
-        L = config.num_sensors
         r = config.correlation**config.spacing
         c = 1.0 / (config.sigma_v2 * (1.0 - r * r))
         t_diag = np.full(L, 1.0 + r * r)
@@ -266,7 +267,6 @@ class PowerAllocationProblem:
         self._c_t_ones = c * t_ones
         self._coupling = np.full(L, -c * r)
         self._coupling[-1] = 0.0
-        self._chunk = max(1, _CHUNK_ELEMENTS // L)
 
     @property
     def dimension(self) -> int:
@@ -283,19 +283,17 @@ class PowerAllocationProblem:
         ``u = (h*g)**2`` and ``M = c*T + diag(u)/sigma_w2``, Woodbury gives
         ``(P/sigma_w2) * u' M^-1 (c*T 1)``, which has no cancellation at large
         gains.  ``M`` is symmetric and strictly diagonally dominant, hence
-        positive definite, so ``dptsv`` solves it without pivoting.  Each chunk
-        of rows is one block-diagonal system whose zero couplings between rows
-        leave every row's arithmetic exactly as it is alone, so a row's value
-        does not depend on its batch.  As ``r`` nears 1, ``T`` grows
+        positive definite, so ``dptsv`` solves it without pivoting.  Both paths
+        work through ``G`` in chunks of rows, which bounds every temporary, and
+        sum each row along its own axis.  A correlated chunk is one
+        block-diagonal system whose zero couplings between rows leave every
+        row's arithmetic exactly as it is alone.  So a row's value does not
+        depend on its batch.  As ``r`` nears 1, ``T`` grows
         ill-conditioned and the relative error at small gains grows like
         machine epsilon over ``(1 - r)**2``: about 3e-12 at ``r = 0.99``.
         """
         sigma_w2 = self.config.sigma_w2
-        if self._white:
-            a2 = (G * self.fading) ** 2
-            terms = self._signal_power * a2 / (a2 * self.config.sigma_v2 + sigma_w2)
-            return terms.sum(axis=1)
-        if not np.isfinite(G).all():
+        if not self._white and not np.isfinite(G).all():
             # A non-finite gain would leak through the zero couplings into the
             # later rows of its chunk.
             raise ValueError("gains must be finite")
@@ -304,14 +302,18 @@ class PowerAllocationProblem:
         for start in range(0, rows, self._chunk):
             u = (G[start : start + self._chunk] * self.fading) ** 2
             m = len(u)
-            d = (self._c_t_diag + u / sigma_w2).ravel()
-            e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
-            b = self._c_t_ones[None].repeat(m, axis=0).reshape(-1, 1)
-            _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
-            if info != 0:
-                raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
-            s[start : start + m] = (u * x.reshape(m, L)).sum(axis=1)
-        return (self._signal_power / sigma_w2) * s
+            if self._white:
+                terms = self._signal_power * u / (u * self.config.sigma_v2 + sigma_w2)
+            else:
+                d = (self._c_t_diag + u / sigma_w2).ravel()
+                e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
+                b = self._c_t_ones[None].repeat(m, axis=0).reshape(-1, 1)
+                _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+                if info != 0:
+                    raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
+                terms = u * x.reshape(m, L)
+            s[start : start + m] = terms.sum(axis=1)
+        return s if self._white else (self._signal_power / sigma_w2) * s
 
     def error_probabilities(self, G: np.ndarray) -> np.ndarray:
         """Fusion error probability of each row of the gain stack ``G``."""
@@ -332,7 +334,7 @@ class PowerAllocationProblem:
         G = np.atleast_2d(np.asarray(G, dtype=float))
         powers = np.einsum("ij,ij->i", G, G)
         penalties = staged_penalty(self.error_probabilities(G) - self.config.epsilon)
-        if (G < 0.0).any():
+        if G.min(initial=0.0) < 0.0:
             penalties = penalties + staged_penalty(-G).sum(axis=1)
         feasible = penalties == 0.0
         iterations = np.asarray(iterations, dtype=float)

@@ -67,30 +67,62 @@ class TestEadeMutation:
     def test_hand_value_with_singleton_slices(self):
         sorted_pop = np.array([[1.0], [5.0], [9.0]])
         donor = eade_mutation(
-            sorted_pop, 1, 4, np.random.default_rng(0), f_top=0.5, f_bottom=0.5
+            sorted_pop, np.arange(3), 1, 4, np.random.default_rng(0), f_top=0.5, f_bottom=0.5
         )
         np.testing.assert_allclose(donor, 1.0)
 
     def test_zero_weights_return_middle_member(self):
         sorted_pop = np.array([[0.0], [3.0], [7.0]])
         donor = eade_mutation(
-            sorted_pop, 1, 4, np.random.default_rng(1), f_top=0.0, f_bottom=0.0
+            sorted_pop, np.arange(3), 1, 4, np.random.default_rng(1), f_top=0.0, f_bottom=0.0
         )
         np.testing.assert_allclose(donor, 3.0)
 
     @pytest.mark.parametrize("n_pop,n_slice", [(3, 0), (4, 2), (2, 1)])
     def test_empty_slices_rejected(self, n_pop, n_slice):
         with pytest.raises(ValueError):
-            eade_mutation(np.zeros((n_pop, 2)), n_slice, 1, np.random.default_rng(0))
+            eade_mutation(
+                np.zeros((n_pop, 2)), np.arange(n_pop), n_slice, 1, np.random.default_rng(0)
+            )
 
     def test_sources_come_from_disjoint_slices(self):
         rng = np.random.default_rng(3)
-        # Encode slice membership in the value so the donor reveals it.
+        # Encode slice membership in the value so the donor reveals it; the
+        # rows are shuffled, so the slices must come through ``order``.
         sorted_pop = np.array([[0.0], [0.0], [100.0], [100.0], [100.0], [100.0],
                                [100.0], [100.0], [1000.0], [1000.0]])
-        donors = eade_mutation(sorted_pop, 2, 50, rng, f_top=1.0, f_bottom=0.0)
+        shuffle = rng.permutation(10)
+        order = np.argsort(shuffle)
+        donors = eade_mutation(sorted_pop[shuffle], order, 2, 50, rng, f_top=1.0, f_bottom=0.0)
         assert donors.shape == (50, 1)
         np.testing.assert_allclose(donors, 0.0)  # f_top=1 lands on the top slice
+
+
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (None, None)])
+    def test_equals_rank_slice_formula_bit_for_bit(self, weights):
+        f_top, f_bottom = weights
+        n_pop, n_slice, n, dim = 20, 3, 15, 6
+        positions = np.random.default_rng(4).uniform(-5.0, 5.0, size=(n_pop, dim))
+        positions[0, :2] = [-0.0, 0.0]
+        order = np.random.default_rng(5).permutation(n_pop)
+        kept = positions.copy(), order.copy()
+
+        donors = eade_mutation(
+            positions, order, n_slice, n, np.random.default_rng(6), f_top, f_bottom
+        )
+
+        # The same draws, in the same order, through the formula as written.
+        rng = np.random.default_rng(6)
+        ranked = positions[order]
+        top = ranked[rng.integers(n_slice, size=n)]
+        mid = ranked[rng.integers(n_slice, n_pop - n_slice, size=n)]
+        bottom = ranked[rng.integers(n_pop - n_slice, n_pop, size=n)]
+        if f_top is None:
+            f_top, f_bottom = rng.random((n, 1)), rng.random((n, 1))
+        expected = mid + f_top * (top - mid) + f_bottom * (mid - bottom)
+        assert donors.tobytes() == expected.tobytes()
+        assert positions.tobytes() == kept[0].tobytes()
+        np.testing.assert_array_equal(order, kept[1])
 
 
 class TestEadeSolver:

@@ -122,6 +122,26 @@ class TestReflection:
         reflect_into_bounds(x, Bounds(0.0, 15.0))
         np.testing.assert_array_equal(x, [-5.0, 20.0])
 
+    @pytest.mark.parametrize("lower,upper", [(0.0, 15.0), (-3.0, 4.0)])
+    def test_equals_two_face_formula_bit_for_bit(self, lower, upper):
+        b = Bounds(lower, upper)
+        width = upper - lower
+        rng = np.random.default_rng(21)
+        x = np.concatenate([
+            rng.uniform(lower - 3.0 * width, upper + 3.0 * width, size=(40, 25)).ravel(),
+            [lower, upper, -0.0, 0.0, lower - width, upper + width,
+             lower - 2.5 * width, upper + 2.5 * width, np.nextafter(lower, -np.inf),
+             np.nextafter(upper, np.inf)],
+        ]).reshape(-1, 5)
+        original = x.copy()
+        expected = np.clip(
+            np.where(x < lower, 2.0 * lower - x, np.where(x > upper, 2.0 * upper - x, x)),
+            lower, upper,
+        )
+        repaired = reflect_into_bounds(x, b)
+        assert repaired.tobytes() == expected.tobytes()
+        assert x.tobytes() == original.tobytes()
+
 
 class TestPopSizeReduction:
     def test_endpoints_and_midpoint(self):

@@ -358,6 +358,14 @@ class TestCli:
             ({"population_sizes": [10]}, "population_sizes must map"),
             ({"population_sizes": {"8": 20.0}}, "population size for 8 sensors"),
             ({"grid": [{"sensors": [8.0], "epsilon": [0.1], "rho": [0.0]}]}, "sensor count"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": ["0.5"]}]},
+             "rho must be a number"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [False]}]},
+             "rho must be a number"),
+            ({"grid": [{"sensors": [8], "epsilon": ["0.1"], "rho": [0.0]}]},
+             "epsilon must be a number"),
+            ({"grid": [{"sensors": [8], "epsilon": [True], "rho": [0.0]}]},
+             "epsilon must be a number"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(

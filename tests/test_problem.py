@@ -1,6 +1,7 @@
 """Tests for the detection problem: covariances, error probability, penalty."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,8 +190,9 @@ class TestFusionErrorProbability:
             pm = fusion_error_probability(cfg, h, g, method="matrix")
             assert abs(pd - pm) < 1e-10
 
-    def test_rows_spanning_several_chunks_equal_batches_of_one(self):
-        cfg = WsnConfig(num_sensors=300, correlation=0.5, fading_seed=4)
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_rows_spanning_several_chunks_equal_batches_of_one(self, rho):
+        cfg = WsnConfig(num_sensors=300, correlation=rho, fading_seed=4)
         h = sample_fading(cfg)
         rows = 2 * (problem_module._CHUNK_ELEMENTS // 300) + 7
         G = np.random.default_rng(8).uniform(0.0, 15.0, size=(rows, 300))
@@ -198,6 +200,20 @@ class TestFusionErrorProbability:
         batch = prob.error_probabilities(G)
         for g, p in zip(G, batch):
             assert p == prob.error_probabilities(g[None, :])[0]
+
+    def test_white_stack_is_evaluated_without_stack_sized_temporaries(self):
+        # Every temporary of the kernel is one chunk of rows, so the peak
+        # stays far below the size of the stack itself.
+        cfg = WsnConfig(num_sensors=800, fading_seed=4)
+        prob = PowerAllocationProblem(cfg, sample_fading(cfg))
+        G = np.random.default_rng(3).uniform(0.0, 15.0, size=(4096, 800))
+        tracemalloc.start()
+        try:
+            prob.evaluate_rows(G, np.ones(len(G)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < G.nbytes / 4
 
     def test_cached_kernel_constants_survive_every_stack_size(self):
         # dptsv overwrites its inputs in place; a cached constant handed to it
