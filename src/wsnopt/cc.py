@@ -48,19 +48,21 @@ class SubproblemView:
         return self.context.values[self.indices].copy()
 
     def evaluate_batch(self, sub_points: np.ndarray) -> np.ndarray:
-        """Evaluate sub-vectors spliced into the current context."""
+        """Evaluate sub-vectors spliced into the context and commit the best.
+
+        The lowest row (the first, on a tie) replaces the context's group
+        when it is strictly below the context fitness.
+        """
         sub_points = np.atleast_2d(np.asarray(sub_points, dtype=float))
         full = np.repeat(self.context.values[None, :], len(sub_points), axis=0)
         full[:, self.indices] = sub_points
-        return self.objective.evaluate_batch(full)
-
-    def commit_if_better(self, sub_x: np.ndarray, value: float) -> bool:
-        """Write the sub-vector into the context when it improves fitness."""
-        if value < self.context.fitness:
-            self.context.values[self.indices] = sub_x
-            self.context.fitness = float(value)
-            return True
-        return False
+        values = self.objective.evaluate_batch(full)
+        if len(values):
+            best = int(np.argmin(values))
+            if values[best] < self.context.fitness:
+                self.context.values[self.indices] = sub_points[best]
+                self.context.fitness = float(values[best])
+        return values
 
 
 class RoundRobinScheduler:

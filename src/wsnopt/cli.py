@@ -69,21 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    env = os.environ.get("WSNOPT_WORKERS")
     try:
         config = ExperimentConfig.from_json(args.config)
+        if args.workers is not None:
+            config.workers = args.workers
+        elif env is not None:
+            try:
+                config.workers = int(env)
+            except ValueError:
+                raise ValueError(f"bad WSNOPT_WORKERS value: {env!r}") from None
+        config.validate()
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("WSNOPT_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                print(f"bad WSNOPT_WORKERS value: {env!r}", file=sys.stderr)
-                return 2
-    result = run_experiment(config, workers=workers)
+    result = run_experiment(config)
     root = Path(config.output_dir) / "results"
     print(f"wrote {len(result.cases)} cases x {len(result.algorithms)} algorithms")
     print(f"summary: {root / 'summary.csv'}")

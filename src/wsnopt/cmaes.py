@@ -80,8 +80,6 @@ class CmaesSubsolver:
                                          self.view.bounds)
         values = self.view.evaluate_batch(candidates)
         self.evals_done += n_cand
-        best = int(np.argmin(values))
-        self.view.commit_if_better(candidates[best], float(values[best]))
         if n_cand < self.lam:
             # Budget-truncated generation: keep the evaluations, skip the update.
             return

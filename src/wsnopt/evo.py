@@ -88,10 +88,12 @@ class TrackedObjective:
     def __init__(self, problem, max_evals: int, population_size: int = 1):
         if max_evals < 1:
             raise ValueError("max_evals must be positive")
+        if population_size < 1:
+            raise ValueError("population_size must be positive")
         self.problem = problem
         self.max_evals = int(max_evals)
         self.evals_used = 0
-        self.population_size = max(1, int(population_size))
+        self.population_size = int(population_size)
         self.best_x: np.ndarray | None = None
         self.best_f = np.inf
         self.best_feasible = False

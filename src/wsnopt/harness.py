@@ -115,11 +115,11 @@ class ExperimentConfig:
     def validate(self):
         if not isinstance(self.population_sizes, dict):
             raise ValueError("population_sizes must map sensor counts to sizes")
-        counts = [("trials", self.trials), ("max_evals", self.max_evals),
-                  ("trace_step", self.trace_step), ("workers", self.workers),
-                  ("base_seed", self.base_seed)]
-        counts += [(f"population size for {k} sensors", v)
-                   for k, v in self.population_sizes.items()]
+        positive = [("trials", self.trials), ("max_evals", self.max_evals),
+                    ("trace_step", self.trace_step), ("workers", self.workers)]
+        positive += [(f"population size for {k} sensors", v)
+                     for k, v in self.population_sizes.items()]
+        counts = positive + [("base_seed", self.base_seed)]
         counts += [("sensor count", n) for block in self.grid for n in block["sensors"]]
         for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -128,12 +128,9 @@ class ExperimentConfig:
             for value in (v for block in self.grid for v in block[name]):
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ValueError(f"{name} must be a number, not {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be at least 1")
-        if self.trace_step < 1:
-            raise ValueError("trace_step must be at least 1")
+        for name, value in positive:
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.grid:
             raise ValueError("grid must contain at least one block")
         unknown = [a for a in self.algorithms if a not in SOLVERS]

@@ -15,7 +15,6 @@ penalty clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,18 +65,11 @@ def random_dimension_grouping(
     return list(np.array_split(rng.permutation(dimension), n_groups))
 
 
-@dataclass
-class MmtsState:
-    """Step length of the multi-trajectory line search, kept across cycles."""
-
-    step: float
-
-
 def mmts_local_search(
     objective: TrackedObjective,
     start_x: np.ndarray,
     start_f: float,
-    state: MmtsState,
+    step: float,
     max_evals_here: int,
 ):
     """Coordinate-wise line search: long step down, half step up.
@@ -86,7 +78,7 @@ def mmts_local_search(
     then half a step up, keeping strict improvements.  A sweep with no
     improvement halves the step; once the step collapses below the floor
     it restarts at a fixed fraction of the box width.  Returns the best
-    point found, its value, and the evaluations spent.
+    point found, its value, and the step to start the next search with.
     """
     bounds = objective.bounds
     x = np.asarray(start_x, dtype=float).copy()
@@ -96,9 +88,9 @@ def mmts_local_search(
     while spent < max_evals_here:
         improved_in_sweep = False
         for d in range(dim):
-            for move in (-state.step, 0.5 * state.step):
+            for move in (-step, 0.5 * step):
                 if spent >= max_evals_here:
-                    return x, f_best, spent
+                    return x, f_best, step
                 candidate = min(max(float(x[d] + move), bounds.lower), bounds.upper)
                 if candidate == x[d]:
                     continue
@@ -112,10 +104,10 @@ def mmts_local_search(
                     improved_in_sweep = True
                     break
         if not improved_in_sweep:
-            state.step *= MMTS_SHRINK
-            if state.step < MMTS_FLOOR:
-                state.step = MMTS_RESTART_FRACTION * bounds.width
-    return x, f_best, spent
+            step *= MMTS_SHRINK
+            if step < MMTS_FLOOR:
+                step = MMTS_RESTART_FRACTION * bounds.width
+    return x, f_best, step
 
 
 def quota_weights(rates: np.ndarray) -> np.ndarray:
@@ -234,7 +226,7 @@ def mlshade_spa(
     history = SuccessHistory(HISTORY_SIZE)
     archive: list[np.ndarray] = []
     pool = CrossoverRatePool()
-    local_state = MmtsState(step=MMTS_RESTART_FRACTION * bounds.width)
+    local_step = MMTS_RESTART_FRACTION * bounds.width
     n_groups = max(1, math.ceil(dim / group_size_target))
     strategies = (
         (_history_de_trials, (history, archive)),
@@ -271,8 +263,8 @@ def mlshade_spa(
         local_budget = min(cycle_quota - spent_total, objective.remaining)
         if local_budget > 0:
             best_i = int(np.argmin(fit))
-            x_new, f_new, _ = mmts_local_search(
-                objective, pop[best_i], fit[best_i], local_state, local_budget
+            x_new, f_new, local_step = mmts_local_search(
+                objective, pop[best_i], fit[best_i], local_step, local_budget
             )
             worst_i = int(np.argmax(fit))
             if f_new < fit[worst_i]:

@@ -238,17 +238,12 @@ class PowerAllocationProblem:
     every evaluation, a scalar one included, is a batch through that kernel.
     """
 
-    def __init__(
-        self,
-        config: WsnConfig,
-        fading: np.ndarray | None = None,
-        bounds: Bounds | None = None,
-    ):
+    def __init__(self, config: WsnConfig, fading: np.ndarray | None = None):
         self.config = config
         self.fading = sample_fading(config) if fading is None else np.asarray(fading, float)
         if self.fading.shape != (config.num_sensors,):
             raise ValueError("fading vector length must match num_sensors")
-        self.bounds = bounds if bounds is not None else Bounds()
+        self.bounds = Bounds()
         self._signal_power = config.signal_power
         self._white = config.correlation == 0.0 or config.num_sensors == 1
         L = config.num_sensors

@@ -63,11 +63,7 @@ class SansdeSubsolver:
         self.positions[0] = self.view.current()
         self.fitness = np.full(POP_SIZE, np.inf)
         n = min(POP_SIZE, self.view.remaining)
-        if n > 0:
-            values = self.view.evaluate_batch(self.positions[:n])
-            self.fitness[:n] = values
-            best = int(np.argmin(values))
-            self.view.commit_if_better(self.positions[best], float(values[best]))
+        self.fitness[:n] = self.view.evaluate_batch(self.positions[:n])
 
     def _draw_scales(self, n: int, rng: np.random.Generator):
         """Scale factors from a Gaussian or a folded Cauchy, and which was used."""
@@ -109,8 +105,6 @@ class SansdeSubsolver:
             self._cr_successes.append(np.column_stack([crs, gains])[improved])
             parents[improved] = trials[improved]
             self.fitness[:n][improved] = values[improved]
-        best = int(np.argmin(values))
-        self.view.commit_if_better(trials[best], float(values[best]))
 
         self.generation += 1
         if self.generation % self.strategy_update_period == 0:

@@ -57,17 +57,30 @@ class TestSubproblemView:
         value = view.evaluate_batch(np.array([[3.0]]))[0]
         assert value == pytest.approx(18.0)
         assert obj.evals_used == 1
-        # evaluation alone must not move the context
-        np.testing.assert_array_equal(context.values, np.zeros(3))
+        # a row strictly below the context fitness is committed
+        assert context.fitness == value
+        np.testing.assert_array_equal(context.values, [0.0, 0.0, 3.0])
 
     def test_commit_requires_strict_improvement(self):
+        # f = 18 + (x2 - 3)^2 along the group, so x2 = 2 and x2 = 4 tie at 19
         _, context, view = self.make_view([2])
-        assert view.commit_if_better(np.array([3.0]), 18.0)
-        assert context.fitness == 18.0
-        np.testing.assert_array_equal(context.values, [0.0, 0.0, 3.0])
-        assert not view.commit_if_better(np.array([1.0]), 18.0)
-        assert not view.commit_if_better(np.array([0.5]), 25.0)
-        assert context.fitness == 18.0
+        view.evaluate_batch(np.array([[2.0]]))
+        np.testing.assert_array_equal(context.values, [0.0, 0.0, 2.0])
+        values = view.evaluate_batch(np.array([[4.0], [6.0]]))
+        np.testing.assert_allclose(values, [19.0, 27.0])
+        assert context.fitness == 19.0
+        np.testing.assert_array_equal(context.values, [0.0, 0.0, 2.0])
+
+    def test_tie_commits_first_row_and_empty_batch_commits_nothing(self):
+        obj, context, view = self.make_view([2])
+        view.evaluate_batch(np.array([[6.0], [4.0], [2.0], [5.0]]))
+        assert context.fitness == 19.0
+        np.testing.assert_array_equal(context.values, [0.0, 0.0, 4.0])
+        values = view.evaluate_batch(np.empty((0, 1)))
+        assert values.shape == (0,)
+        assert obj.evals_used == 4
+        assert context.fitness == 19.0
+        np.testing.assert_array_equal(context.values, [0.0, 0.0, 4.0])
 
     def test_current_returns_a_copy(self):
         _, context, view = self.make_view([0, 1])

@@ -224,6 +224,11 @@ class TestTrackedObjective:
             obj.evaluate(np.ones(3))
         assert obj.evals_used == 3
 
+    @pytest.mark.parametrize("pop", [0, -5])
+    def test_non_positive_population_rejected(self, pop):
+        with pytest.raises(ValueError, match="population_size"):
+            self.make(pop=pop)
+
     def test_best_tracking_and_trace(self):
         obj = self.make(max_evals=10)
         obj.evaluate(np.array([2.0, 0.0, 0.0]))

@@ -366,14 +366,32 @@ class TestCli:
              "epsilon must be a number"),
             ({"grid": [{"sensors": [8], "epsilon": [True], "rho": [0.0]}]},
              "epsilon must be a number"),
+            ({"workers": 0}, "workers must be at least 1"),
+            ({"workers": -2}, "workers must be at least 1"),
+            ({"algorithms": ["cbcc-rdg3", "dgsc-decc"], "population_sizes": {"8": 0}},
+             "population size for 8 sensors must be at least 1"),
+            ({"algorithms": ["cbcc-rdg3", "dgsc-decc"], "population_sizes": {"8": -5}},
+             "population size for 8 sensors must be at least 1"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
-        self, tmp_path, capsys, overrides, message
+        self, tmp_path, capsys, monkeypatch, overrides, message
     ):
+        monkeypatch.delenv("WSNOPT_WORKERS", raising=False)
         path = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags, env", [(["--workers", "0"], None), ([], "0")])
+    def test_run_rejects_non_positive_worker_count_before_output(
+        self, tmp_path, capsys, monkeypatch, flags, env
+    ):
+        path = write_config(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("WSNOPT_WORKERS", env)
+        assert main(["run", str(path), *flags]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_run_workers_env_override(self, tmp_path, monkeypatch):
@@ -446,7 +464,9 @@ class TestCli:
          (["--sensors", "8", "--epsilon", "0.1", "--algo", "mlshade-spa",
            "--population", "10"], "population"),
          (["--sensors", "8", "--epsilon", "0.1", "--algo", "eade",
-           "--population", "9"], "eade needs a population")],
+           "--population", "9"], "eade needs a population"),
+         (["--sensors", "8", "--epsilon", "0.1", "--algo", "cbcc-rdg3",
+           "--population", "0"], "population size for 8 sensors must be at least 1")],
     )
     def test_case_rejects_out_of_range_values_before_output(
         self, tmp_path, capsys, flags, message

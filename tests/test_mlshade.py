@@ -7,7 +7,6 @@ from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.eade import CrossoverRatePool
 from wsnopt.evo import SuccessHistory
 from wsnopt.mlshade import (
-    MmtsState,
     _generation,
     _history_de_trials,
     _slice_de_trials,
@@ -60,49 +59,45 @@ class TestRandomDimensionGrouping:
 class TestMmtsLocalSearch:
     def test_descends_on_sphere(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.0)
-        x, f, spent = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, state, 50)
+        x, f, _ = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, 1.0, 50)
         assert f < 32.0
-        assert spent <= 50
-        assert obj.evals_used == spent
+        assert obj.evals_used <= 50
+        assert sphere(x) == f
 
     def test_single_improving_probe(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.0)
-        x, f, spent = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, state, 1)
-        assert spent == 1
+        x, f, step = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, 1.0, 1)
+        assert obj.evals_used == 1
         np.testing.assert_allclose(x, [3.0, 4.0])
         assert f == pytest.approx(25.0)
+        assert step == 1.0
 
     def test_step_halves_after_failed_sweep(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.0)
-        _, f, spent = mmts_local_search(obj, np.zeros(2), 0.0, state, 4)
+        _, f, step = mmts_local_search(obj, np.zeros(2), 0.0, 1.0, 4)
         assert f == 0.0
-        assert spent == 4
-        assert state.step == 0.5
+        assert obj.evals_used == 4
+        assert step == 0.5
 
     def test_step_restarts_at_box_fraction_after_collapse(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.5e-8)
-        mmts_local_search(obj, np.zeros(2), 0.0, state, 4)
-        assert state.step == pytest.approx(0.4 * 10.0)
+        _, _, step = mmts_local_search(obj, np.zeros(2), 0.0, 1.5e-8, 4)
+        assert step == pytest.approx(0.4 * 10.0)
 
     def test_clipped_noop_probes_are_free(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.0)
         start = np.array([-5.0, -5.0])
-        x, f, spent = mmts_local_search(obj, start, 50.0, state, 2)
+        x, f, _ = mmts_local_search(obj, start, 50.0, 1.0, 2)
         # the downhill probe clips back onto the corner and is skipped
-        assert spent == 2
+        assert obj.evals_used == 2
         np.testing.assert_allclose(x, [-4.5, -4.5])
 
     def test_zero_budget_returns_start(self):
         obj = make_objective(2, 100)
-        state = MmtsState(step=1.0)
-        x, f, spent = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, state, 0)
-        assert spent == 0
+        x, f, step = mmts_local_search(obj, np.array([4.0, 4.0]), 32.0, 1.0, 0)
+        assert obj.evals_used == 0
         assert f == 32.0
+        assert step == 1.0
         np.testing.assert_array_equal(x, [4.0, 4.0])
 
 
