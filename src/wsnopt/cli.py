@@ -13,12 +13,12 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .harness import (
-    CaseSpec,
     ExperimentConfig,
     derive_seed,
     fmt,
@@ -27,7 +27,7 @@ from .harness import (
     write_cell_files,
 )
 from .problem import PowerAllocationProblem, WsnConfig, monte_carlo_error_rate
-from .stats import friedman_ranks, paired_rank_tests
+from .stats import friedman_ranks, paired_rank_tests, read_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,14 +72,14 @@ def cmd_run(args) -> int:
     env = os.environ.get("WSNOPT_WORKERS")
     try:
         config = ExperimentConfig.from_json(args.config)
-        if args.workers is not None:
-            config.workers = args.workers
-        elif env is not None:
+        workers = args.workers
+        if workers is None and env is not None:
             try:
-                config.workers = int(env)
+                workers = int(env)
             except ValueError:
                 raise ValueError(f"bad WSNOPT_WORKERS value: {env!r}") from None
-        config.validate()
+        if workers is not None:
+            config = replace(config, workers=workers)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -91,21 +91,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_case(args) -> int:
-    case = CaseSpec(args.sensors, args.epsilon, args.rho)
-    config = ExperimentConfig(
-        grid=[{"sensors": [args.sensors], "epsilon": [args.epsilon], "rho": [args.rho]}],
-        algorithms=[args.algo],
-        trials=args.trials,
-        max_evals=args.max_evals,
-        population_sizes={args.sensors: args.population},
-        base_seed=args.seed,
-        output_dir=args.out,
-    )
     try:
-        config.validate()
+        config = ExperimentConfig(
+            grid=[{"sensors": [args.sensors], "epsilon": [args.epsilon], "rho": [args.rho]}],
+            algorithms=[args.algo],
+            trials=args.trials,
+            max_evals=args.max_evals,
+            population_sizes={args.sensors: args.population},
+            base_seed=args.seed,
+            output_dir=args.out,
+        )
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    case = config.cases()[0]
     records = []
     for trial in range(args.trials):
         record = run_trial(config, case, args.algo, trial)
@@ -121,28 +120,11 @@ def cmd_case(args) -> int:
     return 0
 
 
-def _load_table(path: str):
-    """Read a case-by-algorithm table, skipping descriptive columns."""
-    with open(path, "r", encoding="utf-8") as handle:
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    if len(rows) < 3:
-        raise ValueError("need a header row and at least two data rows")
-    header = rows[0]
-    skip = {"case", "sensors", "correlation", "epsilon", "rho"}
-    columns = [j for j, name in enumerate(header) if name not in skip]
-    if len(columns) < 2:
-        raise ValueError("need at least two algorithm columns")
-    names = [header[j] for j in columns]
-    data = np.array([[float(row[j]) for j in columns] for row in rows[1:]])
-    if not np.isfinite(data).all():
-        raise ValueError("table entries must be finite")
-    return names, data
-
-
 def cmd_stats(args) -> int:
     try:
-        names, data = _load_table(args.table)
-    except (OSError, ValueError, IndexError) as exc:
+        with open(args.table, "r", encoding="utf-8") as handle:
+            _, names, data = read_table(handle)
+    except (OSError, ValueError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
         return 2
     ranks = friedman_ranks(data)

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +86,10 @@ class ExperimentResult:
     cells: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment grid; every construction runs ``__post_init__``'s checks."""
+
     grid: list
     algorithms: list
     trials: int
@@ -102,17 +104,20 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**raw)
-        if isinstance(config.population_sizes, dict):
-            config.population_sizes = {int(k): v for k, v in config.population_sizes.items()}
-        config.validate()
-        return config
+        sizes = raw.get("population_sizes")
+        if isinstance(sizes, dict):
+            raw["population_sizes"] = {int(k): v for k, v in sizes.items()}
+            if len(raw["population_sizes"]) < len(sizes):
+                raise ValueError(
+                    f"population_sizes names a sensor count twice: {sorted(sizes)}")
+        return cls(**raw)
 
-    def validate(self):
+    def __post_init__(self):
         if not isinstance(self.population_sizes, dict):
             raise ValueError("population_sizes must map sensor counts to sizes")
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
@@ -140,6 +145,8 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must not repeat: {self.algorithms}")
         floors = (("mlshade-spa", MIN_POPULATION), ("eade", EADE_MIN_POPULATION))
         for case in self.cases():
             if case.sensors not in self.population_sizes:
@@ -302,10 +309,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None):
     Trials execute in a deterministic order (case-major, then algorithm,
     then trial).  With more than one worker the trials run in a process
     pool; records are still committed in submission order, so the output
-    bytes do not depend on the worker count.
+    bytes do not depend on the worker count.  A ``workers`` argument
+    replaces the config's count and is checked like it.
     """
-    config.validate()
-    workers = config.workers if workers is None else int(workers)
+    if workers is not None:
+        config = replace(config, workers=workers)
     cases = config.cases()
     root = Path(config.output_dir) / "results"
     (root / "traces").mkdir(parents=True, exist_ok=True)
@@ -316,8 +324,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None):
         for algo in config.algorithms
         for trial in range(config.trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = pool.map(_trial_job, jobs, chunksize=1)
             records = _collect(config, cases, root, outcomes)
     else:

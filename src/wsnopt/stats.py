@@ -10,14 +10,13 @@ objective scales across cases from swamping the pairing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 from scipy.special import ndtr
 
-ALGORITHM_ORDER = ("mlshade-spa", "dgsc-decc", "cbcc-rdg3", "eade")
+DESCRIPTIVE_COLUMNS = {"case", "sensors", "correlation", "epsilon", "rho"}
 
 
 @dataclass
@@ -157,18 +156,31 @@ def paired_rank_tests(matrix, baseline_column: int) -> dict[int, WilcoxonResult]
     }
 
 
-def load_reference_table():
-    """Bundled grid of published mean best objectives per case and algorithm.
+def read_table(lines):
+    """(case ids, algorithm names, matrix) from the lines of a case-by-algorithm CSV.
 
-    Returns (case ids, algorithm names, matrix) with one row per case and
-    columns following ``ALGORITHM_ORDER``.
+    Blank lines and descriptive columns are skipped; case ids are the first
+    column's cells.  The matrix is at least 2x2 and finite.
+    """
+    rows = [line.strip().split(",") for line in lines if line.strip()]
+    if len(rows) < 3:
+        raise ValueError("need a header row and at least two data rows")
+    header, body = rows[0], rows[1:]
+    if any(len(row) != len(header) for row in body):
+        raise ValueError(f"every row needs {len(header)} cells, one per header column")
+    columns = [j for j, name in enumerate(header) if name not in DESCRIPTIVE_COLUMNS]
+    if len(columns) < 2:
+        raise ValueError("need at least two algorithm columns")
+    data = np.array([[float(row[j]) for j in columns] for row in body])
+    if not np.isfinite(data).all():
+        raise ValueError("table entries must be finite")
+    return [row[0] for row in body], [header[j] for j in columns], data
+
+
+def load_reference_table():
+    """Bundled grid of published mean best objectives per case and algorithm,
+    as ``read_table`` returns it: one row per case, one column per algorithm.
     """
     path = resources.files("wsnopt").joinpath("data/reference_means.csv")
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        cases = []
-        rows = []
-        for record in reader:
-            cases.append(record["case"])
-            rows.append([float(record[name]) for name in ALGORITHM_ORDER])
-    return cases, list(ALGORITHM_ORDER), np.array(rows)
+    with path.open("r", encoding="utf-8") as handle:
+        return read_table(handle)

@@ -1,5 +1,7 @@
 """Experiment harness: config parsing, seeding, file outputs, CLI."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -17,6 +19,7 @@ from wsnopt.harness import (
     run_trial,
     sample_step_function,
 )
+from wsnopt.stats import friedman_ranks, load_reference_table
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -74,8 +77,6 @@ class TestConfig:
         assert len(set(ids)) == 24
 
     def test_case_ids_match_reference_table(self, tmp_path):
-        from wsnopt.stats import load_reference_table
-
         path = write_config(
             tmp_path,
             grid=[
@@ -118,6 +119,18 @@ class TestConfig:
         path = write_config(tmp_path, trials=0)
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig.from_json(path)
+
+    def test_fields_cannot_be_reassigned(self, tmp_path):
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_run_experiment_checks_worker_override_before_output(self, tmp_path, workers):
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(config, workers=workers)
+        assert not (tmp_path / "run").exists()
 
 
 class TestSeeding:
@@ -372,6 +385,9 @@ class TestCli:
              "population size for 8 sensors must be at least 1"),
             ({"algorithms": ["cbcc-rdg3", "dgsc-decc"], "population_sizes": {"8": -5}},
              "population size for 8 sensors must be at least 1"),
+            ({"algorithms": ["eade", "cbcc-rdg3", "eade"]}, "algorithms must not repeat"),
+            ({"population_sizes": {"8": 20, "08": 30}},
+             "population_sizes names a sensor count twice"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
@@ -382,6 +398,13 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "7"])
+    def test_run_rejects_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert "config error: config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, env", [(["--workers", "0"], None), ([], "0")])
     def test_run_rejects_non_positive_worker_count_before_output(
@@ -490,6 +513,32 @@ class TestCli:
         assert "1.3333" in out
         assert "3.9583" in out
         assert "p = " in out
+
+    def test_stats_reads_reference_table_like_load_reference_table(self, capsys):
+        from importlib import resources
+
+        cases, names, matrix = load_reference_table()
+        table = resources.files("wsnopt").joinpath("data/reference_means.csv")
+        with resources.as_file(table) as path:
+            with open(path, newline="", encoding="utf-8") as handle:
+                records = list(csv.DictReader(handle))
+            assert main(["stats", str(path)]) == 0
+        assert cases == [r["case"] for r in records]
+        np.testing.assert_array_equal(
+            matrix, [[float(r[name]) for name in names] for r in records]
+        )
+        ranks = friedman_ranks(matrix)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"24 cases, {len(names)} algorithms"
+        for line, name, rank in zip(lines[2:], names, ranks.average_ranks):
+            assert line.split()[:2] == [name, f"{rank:.4f}"]
+
+    @pytest.mark.parametrize("row", ["c2,3.0", "c2,3.0,4.0,5.0"])
+    def test_stats_rejects_ragged_row(self, tmp_path, capsys, row):
+        table = tmp_path / "table.csv"
+        table.write_text(f"case,a,b\nc1,1.0,2.0\n{row}\nc3,4.0,5.0\n")
+        assert main(["stats", str(table)]) == 2
+        assert "table error: every row needs 3 cells" in capsys.readouterr().err
 
     def test_stats_rejects_missing_file(self, tmp_path, capsys):
         rc = main(["stats", str(tmp_path / "absent.csv")])
