@@ -119,27 +119,22 @@ def cc_optimize(
     groups,
     make_subsolver,
     rng: np.random.Generator,
-    scheduler=None,
-    initial: np.ndarray | None = None,
+    scheduler,
+    initial: np.ndarray,
 ):
     """Run cooperative coevolution until the evaluation budget is spent.
 
     ``make_subsolver`` (a subsolver class such as ``CmaesSubsolver`` or
     ``SansdeSubsolver``) is called once per group with that group's view and
     must return an object whose ``step(rng)`` advances the subproblem by
-    one internal iteration, spending budget through the view.  ``initial``
-    seeds the context (it is re-evaluated here); by default a uniform
-    random point is drawn.  The penalty clock is the tracker's, whatever
-    the subsolvers' generation sizes.
+    one internal iteration, spending budget through the view.  ``scheduler``
+    (a ``RoundRobinScheduler`` or ``ContributionScheduler``) picks the group
+    of each step.  ``initial`` seeds the context; it is copied and
+    re-evaluated here.  The penalty clock is the tracker's, whatever the
+    subsolvers' generation sizes.
     """
-    scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
-    bounds = objective.bounds
-
-    if initial is None:
-        initial = rng.uniform(bounds.lower, bounds.upper, objective.dimension)
     initial = np.asarray(initial, dtype=float).copy()
-    fitness = objective.evaluate(initial)
-    context = ContextVector(initial, fitness)
+    context = ContextVector(initial, objective.evaluate(initial))
 
     views = [SubproblemView(objective, context, group) for group in groups]
     subsolvers = [make_subsolver(view) for view in views]

@@ -109,7 +109,6 @@ def eade_mutation(
 def eade(
     objective: TrackedObjective,
     rng: np.random.Generator,
-    population_size: int,
     slice_fraction: float = 0.1,
     mix_probability: float = 0.5,
 ) -> TrackedObjective:
@@ -117,22 +116,19 @@ def eade(
 
     Each row's donor is a rank-slice donor with ``mix_probability``, else a
     DE/rand/1 donor; the slices are the best and the worst
-    ``slice_fraction`` of the population.
+    ``slice_fraction`` of the population, which is the tracker's size.
     """
     if not 0.0 < slice_fraction < 0.5:
         raise ValueError("slice_fraction must lie in (0, 0.5)")
     if not 0.0 <= mix_probability <= 1.0:
         raise ValueError("mix_probability must lie in [0, 1]")
-    n_pop = int(population_size)
+    n_pop = objective.population_size
     n_slice = int(slice_fraction * n_pop)
     if n_slice < 1 or n_pop - 2 * n_slice < 1:
-        raise ValueError("population too small for the configured slices")
+        raise ValueError(f"population_size {n_pop} is too small for the slices")
 
     bounds = objective.bounds
-    pop = init_population(n_pop, objective.dimension, bounds, rng)
-    n_first = min(n_pop, objective.remaining)
-    fit = np.full(n_pop, np.inf)
-    fit[:n_first] = objective.evaluate_batch(pop[:n_first])
+    pop, fit = init_population(objective, rng)
 
     total_generations = max(1, objective.max_evals // n_pop)
     period = max(1, round(LEARNING_FRACTION * total_generations))

@@ -177,12 +177,22 @@ class TrackedObjective:
 
 
 def init_population(
-    n_pop: int, dimension: int, bounds: Bounds, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform random population of shape ``(n_pop, dimension)``."""
+    objective: TrackedObjective, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random first population at the tracker's size, and its fitness.
+
+    The first ``min(n, remaining)`` rows are evaluated; any rest stays at
+    ``inf``.
+    """
+    n_pop = objective.population_size
     if n_pop < 4:
         raise ValueError("population size must be at least 4")
-    return rng.uniform(bounds.lower, bounds.upper, size=(n_pop, dimension))
+    bounds = objective.bounds
+    pop = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, objective.dimension))
+    fit = np.full(n_pop, np.inf)
+    n_first = min(n_pop, objective.remaining)
+    fit[:n_first] = objective.evaluate_batch(pop[:n_first])
+    return pop, fit
 
 
 def pick_distinct(n_rows: int, pools, rng: np.random.Generator) -> np.ndarray:

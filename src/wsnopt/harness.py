@@ -191,8 +191,7 @@ def run_trial(
     population = config.population_sizes[case.sensors]
     objective = TrackedObjective(problem, config.max_evals, population)
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
-    rng = np.random.default_rng(seed)
-    solve(algorithm, objective, rng, population)
+    solve(algorithm, objective, np.random.default_rng(seed))
     # Only the tracker calls ``problem.batch``, so every row through it is a
     # budgeted evaluation; this scoring row is not, and skips it.
     _, feasible, power = problem.evaluate_rows(objective.best_x, [1])

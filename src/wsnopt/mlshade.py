@@ -204,24 +204,18 @@ def _generation(strategy, state, pop, fit, group, objective, rng) -> float:
 def mlshade_spa(
     objective: TrackedObjective,
     rng: np.random.Generator,
-    population_size: int,
     group_size_target: int = 100,
 ) -> TrackedObjective:
     """Quota-scheduled hybrid of three DE strategies plus a local phase.
 
-    Each cycle mutates the coordinates in random groups of about
-    ``group_size_target``.
+    The population starts at the tracker's size.  Each cycle mutates the
+    coordinates in random groups of about ``group_size_target``.
     """
-    if population_size < MIN_POPULATION:
+    if objective.population_size < MIN_POPULATION:
         raise ValueError(f"population_size must be at least {MIN_POPULATION}")
     dim = objective.dimension
     bounds = objective.bounds
-
-    pop = init_population(population_size, dim, bounds, rng)
-    fit = np.full(population_size, np.inf)
-    n_first = min(population_size, objective.remaining)
-    if n_first > 0:
-        fit[:n_first] = objective.evaluate_batch(pop[:n_first])
+    pop, fit = init_population(objective, rng)
 
     history = SuccessHistory(HISTORY_SIZE)
     archive: list[np.ndarray] = []
@@ -272,7 +266,7 @@ def mlshade_spa(
                 fit[worst_i] = f_new
 
         target = linear_pop_size_reduction(
-            objective.evals_used, objective.max_evals, population_size
+            objective.evals_used, objective.max_evals, objective.population_size
         )
         if target < len(pop):
             pop, fit = shrink_population(pop, fit, target)

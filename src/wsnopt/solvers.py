@@ -1,13 +1,14 @@
 """Named, ready-to-run optimizer configurations.
 
-Every entry takes the same three arguments (tracked objective, random
-generator, population size) and returns that tracked objective, which holds
-the best points and the convergence history, so the experiment harness can
-treat algorithms as interchangeable.  The two decomposition-based entries
-ignore the population size (their subsolvers size their own populations),
-spend part of the budget on structure probes and seed their context with the
-tracker's best probe: the cheapest feasible one when any probe was feasible,
-else the one with the lowest penalized value.
+Every entry takes the same two arguments (tracked objective, random
+generator) and returns that tracked objective, which holds the best points
+and the convergence history, so the experiment harness can treat algorithms
+as interchangeable.  The tracker is the one owner of the population size:
+the population solvers start at it, and it sets the penalty clock.  The two
+decomposition-based entries do not use it (their subsolvers size their own
+populations), spend part of the budget on structure probes and seed their
+context with the tracker's best probe: the cheapest feasible one when any
+probe was feasible, else the one with the lowest penalized value.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def _decompose_then_coevolve(objective, rng, group, make_subsolver, scheduler):
     if objective.remaining <= 0:
         return objective
     return cc_optimize(
-        objective, groups, make_subsolver, rng, scheduler, initial=objective.best_x
+        objective, groups, make_subsolver, rng, scheduler, objective.best_x
     )
 
 
 def solve_cbcc_rdg3(
-    objective: TrackedObjective, rng: np.random.Generator, population_size: int
+    objective: TrackedObjective, rng: np.random.Generator
 ) -> TrackedObjective:
     """Capped recursive grouping, then contribution-guided coevolution."""
     return _decompose_then_coevolve(
@@ -47,7 +48,7 @@ def solve_cbcc_rdg3(
 
 
 def solve_dgsc_decc(
-    objective: TrackedObjective, rng: np.random.Generator, population_size: int
+    objective: TrackedObjective, rng: np.random.Generator
 ) -> TrackedObjective:
     """Spectral decomposition, then round-robin coevolution with adaptive DE."""
     return _decompose_then_coevolve(
@@ -65,10 +66,7 @@ SOLVERS = {
 
 
 def solve(
-    name: str,
-    objective: TrackedObjective,
-    rng: np.random.Generator,
-    population_size: int,
+    name: str, objective: TrackedObjective, rng: np.random.Generator
 ) -> TrackedObjective:
     """Run the solver registered as ``name`` on ``objective``."""
     try:
@@ -76,4 +74,4 @@ def solve(
     except KeyError:
         known = ", ".join(sorted(SOLVERS))
         raise KeyError(f"unknown solver {name!r}; choose one of: {known}") from None
-    return solver(objective, rng, population_size)
+    return solver(objective, rng)

@@ -129,11 +129,10 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
 
     mean = n * (n + 1) / 4.0
     _, tie_sizes = np.unique(magnitudes, return_counts=True)
+    # Positive: the tie sum is at most n^3 - n, so this is >= n(n+1)^2/16.
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(
         tie_sizes**3 - tie_sizes
     ) / 48.0
-    if variance <= 0.0:
-        return WilcoxonResult(1.0, statistic, n, degenerate=True, exact=False)
     z = (statistic - mean + 0.5) / np.sqrt(variance)
     p = min(1.0, 2.0 * float(ndtr(z)))
     return WilcoxonResult(p, statistic, n, False, exact=False)

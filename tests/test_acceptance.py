@@ -48,12 +48,12 @@ def power_case(sensors, epsilon, correlation=0.0):
 
 def run_one(algorithm, config, seed, max_evals, population):
     problem = PowerAllocationProblem(config)
-    objective = TrackedObjective(problem, max_evals)
+    objective = TrackedObjective(problem, max_evals, population)
     rng = np.random.default_rng(seed)
     if algorithm == "baseline-de":
-        result = eade(objective, rng, population, mix_probability=0.0)
+        result = eade(objective, rng, mix_probability=0.0)
     else:
-        result = solve(algorithm, objective, rng, population)
+        result = solve(algorithm, objective, rng)
     return problem, result
 
 
@@ -318,9 +318,9 @@ def test_every_objective_call_is_counted_against_the_budget(algorithm):
     budget = 60_000
     config = power_case(50, 0.1)
     counted = CountingProblem(PowerAllocationProblem(config))
-    objective = TrackedObjective(counted, budget)
+    objective = TrackedObjective(counted, budget, 50)
     rng = np.random.default_rng(derive_seed(BASE_SEED, "accept-count", algorithm))
-    result = solve(algorithm, objective, rng, 50)
+    result = solve(algorithm, objective, rng)
     assert counted.calls == objective.evals_used
     assert result.evals_used == objective.evals_used
     assert objective.evals_used <= budget

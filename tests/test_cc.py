@@ -32,6 +32,10 @@ def make_objective(fn, dim, bounds, max_evals):
     return TrackedObjective(FunctionProblem(fn, dim, bounds), max_evals)
 
 
+def random_start(obj, rng):
+    return rng.uniform(obj.bounds.lower, obj.bounds.upper, obj.dimension)
+
+
 def rotated_ellipsoid_objective(dim, condition, max_evals):
     """Ellipsoid with axis scales 1..condition in a random rotated basis."""
     rotation, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((dim, dim)))
@@ -126,11 +130,10 @@ class TestCmaesSubsolver:
 
     def test_sphere_convergence(self):
         obj = make_objective(sphere, 5, Bounds(-5.0, 5.0), 6000)
+        rng = np.random.default_rng(11)
         result = cc_optimize(
-            obj,
-            [np.arange(5)],
-            CmaesSubsolver,
-            rng=np.random.default_rng(11),
+            obj, [np.arange(5)], CmaesSubsolver, rng, RoundRobinScheduler(),
+            random_start(obj, rng),
         )
         assert result.best_f < 1e-8
         assert obj.evals_used == 6000
@@ -183,8 +186,10 @@ class TestCmaesSubsolver:
     def test_rotated_ellipsoid_convergence(self, seed):
         # Reaching 1e-8 at condition 1e4 needs a correctly whitened step-size path.
         obj = rotated_ellipsoid_objective(10, 1e4, 20_000)
+        rng = np.random.default_rng(seed)
         result = cc_optimize(
-            obj, [np.arange(10)], CmaesSubsolver, rng=np.random.default_rng(seed)
+            obj, [np.arange(10)], CmaesSubsolver, rng, RoundRobinScheduler(),
+            random_start(obj, rng),
         )
         assert result.best_f < 1e-8
 
@@ -232,11 +237,10 @@ class TestSansdeSubsolver:
 
     def test_single_variable_groups_converge(self):
         obj = make_objective(shifted_quadratic, 4, Bounds(0.0, 15.0), 8000)
+        rng = np.random.default_rng(5)
         result = cc_optimize(
-            obj,
-            [[0], [1], [2], [3]],
-            SansdeSubsolver,
-            rng=np.random.default_rng(5),
+            obj, [[0], [1], [2], [3]], SansdeSubsolver, rng, RoundRobinScheduler(),
+            random_start(obj, rng),
         )
         assert result.best_f < 1e-6
         assert obj.evals_used == 8000
@@ -247,11 +251,8 @@ class TestCcOptimize:
         obj = make_objective(shifted_quadratic, 3, Bounds(0.0, 15.0), 1)
         seed_point = np.array([5.0, 5.0, 5.0])
         result = cc_optimize(
-            obj,
-            [[0, 1], [2]],
-            CmaesSubsolver,
-            rng=np.random.default_rng(0),
-            initial=seed_point,
+            obj, [[0, 1], [2]], CmaesSubsolver, np.random.default_rng(0),
+            RoundRobinScheduler(), seed_point,
         )
         np.testing.assert_array_equal(result.best_x, seed_point)
         assert result.best_f == pytest.approx(shifted_quadratic(seed_point))
@@ -261,12 +262,10 @@ class TestCcOptimize:
             return float(x[0] * x[1] + (x[2] - 3.0) ** 2)
 
         obj = make_objective(coupled, 3, Bounds(0.0, 15.0), 4000)
+        rng = np.random.default_rng(3)
         result = cc_optimize(
-            obj,
-            [[0, 1], [2]],
-            CmaesSubsolver,
-            scheduler=ContributionScheduler(),
-            rng=np.random.default_rng(3),
+            obj, [[0, 1], [2]], CmaesSubsolver, rng, ContributionScheduler(),
+            random_start(obj, rng),
         )
         assert result.best_f < 1e-3
         assert obj.evals_used == 4000
@@ -275,6 +274,10 @@ class TestCcOptimize:
         obj = TrackedObjective(
             FunctionProblem(sphere, 2, Bounds(-5.0, 5.0)), 50, population_size=25
         )
-        cc_optimize(obj, [[0], [1]], SansdeSubsolver, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        cc_optimize(
+            obj, [[0], [1]], SansdeSubsolver, rng, RoundRobinScheduler(),
+            random_start(obj, rng),
+        )
         assert obj.population_size == 25
         assert obj.evals_used == 50

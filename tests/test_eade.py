@@ -9,7 +9,6 @@ from wsnopt.evo import (
     FunctionProblem,
     TrackedObjective,
     binomial_crossover,
-    init_population,
     pick_distinct,
     reflect_into_bounds,
 )
@@ -128,8 +127,8 @@ class TestEadeMutation:
 class TestEadeSolver:
     def test_improves_sphere_and_respects_budget(self):
         problem = sphere_problem()
-        obj = TrackedObjective(problem, 3000)
-        result = eade(obj, np.random.default_rng(7), 30)
+        obj = TrackedObjective(problem, 3000, 30)
+        result = eade(obj, np.random.default_rng(7))
         assert obj.evals_used == 3000
         first = result.improvements[0][1]
         assert result.best_f < 0.1 * first
@@ -139,20 +138,21 @@ class TestEadeSolver:
 
     def test_budget_smaller_than_population(self):
         problem = sphere_problem()
-        obj = TrackedObjective(problem, 7)
-        result = eade(obj, np.random.default_rng(0), 12)
+        obj = TrackedObjective(problem, 7, 12)
+        result = eade(obj, np.random.default_rng(0))
         assert obj.evals_used == 7
         assert np.isfinite(result.best_f)
 
     def test_population_too_small_for_slices(self):
         problem = sphere_problem()
-        obj = TrackedObjective(problem, 100)
-        with pytest.raises(ValueError):
-            eade(obj, np.random.default_rng(0), 8, slice_fraction=0.1)
+        obj = TrackedObjective(problem, 100, 8)
+        with pytest.raises(ValueError, match="population_size 8 is too small"):
+            eade(obj, np.random.default_rng(0), slice_fraction=0.1)
+        assert obj.evals_used == 0
 
     def test_deterministic_given_seed(self):
-        r1 = eade(TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20)
-        r2 = eade(TrackedObjective(sphere_problem(), 1500), np.random.default_rng(42), 20)
+        r1 = eade(TrackedObjective(sphere_problem(), 1500, 20), np.random.default_rng(42))
+        r2 = eade(TrackedObjective(sphere_problem(), 1500, 20), np.random.default_rng(42))
         assert r1.best_f == r2.best_f
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
 
@@ -163,18 +163,17 @@ class TestEadeSolver:
         bounds = Bounds(0.0, 15.0)
         seed = 99
 
-        solver_obj = TrackedObjective(sphere_problem(dim, bounds), max_evals)
+        solver_obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)
         result = eade(
             solver_obj,
             np.random.default_rng(seed),
-            n_pop,
             slice_fraction=0.2,
             mix_probability=0.0,
         )
 
         rng = np.random.default_rng(seed)
         obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)
-        pop = init_population(n_pop, dim, bounds, rng)
+        pop = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, dim))
         fit = obj.evaluate_batch(pop)
         period = max(1, round(0.1 * (max_evals // n_pop)))
         pool = CrossoverRatePool()
@@ -213,6 +212,6 @@ class TestEadeSolver:
         problem = SpyProblem(
             lambda x: float(np.sum(x * x)), 3, Bounds(-2.0, 2.0)
         )
-        eade(TrackedObjective(problem, 600), np.random.default_rng(5), 15)
+        eade(TrackedObjective(problem, 600, 15), np.random.default_rng(5))
         for X in calls:
             assert X.min() >= -2.0 and X.max() <= 2.0

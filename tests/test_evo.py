@@ -38,18 +38,35 @@ class TestBounds:
 
 
 class TestInitPopulation:
+    @staticmethod
+    def tracker(dim, max_evals, population_size):
+        problem = FunctionProblem(sphere, dim, Bounds(0.0, 15.0), batch_fn=sphere_batch)
+        return TrackedObjective(problem, max_evals, population_size)
+
     def test_shape_and_range(self):
-        pop = init_population(30, 6, Bounds(0.0, 15.0), np.random.default_rng(0))
+        obj = self.tracker(6, 100, 30)
+        pop, fit = init_population(obj, np.random.default_rng(0))
         assert pop.shape == (30, 6)
         assert pop.min() >= 0.0 and pop.max() <= 15.0
+        np.testing.assert_array_equal(fit, sphere_batch(pop))
+        assert obj.evals_used == 30
 
     def test_uniform_mean(self):
-        pop = init_population(100, 1000, Bounds(0.0, 15.0), np.random.default_rng(1))
+        pop, _ = init_population(self.tracker(1000, 100, 100), np.random.default_rng(1))
         assert abs(pop.mean() - 7.5) < 0.1
 
+    def test_budget_below_population_leaves_the_rest_unevaluated(self):
+        obj = self.tracker(3, 7, 12)
+        pop, fit = init_population(obj, np.random.default_rng(2))
+        np.testing.assert_array_equal(fit[:7], sphere_batch(pop[:7]))
+        assert np.all(fit[7:] == np.inf)
+        assert obj.evals_used == 7
+
     def test_too_small_rejected(self):
+        obj = self.tracker(5, 100, 3)
         with pytest.raises(ValueError):
-            init_population(3, 5, Bounds(), np.random.default_rng(0))
+            init_population(obj, np.random.default_rng(0))
+        assert obj.evals_used == 0
 
 
 class TestTrialBuilders:

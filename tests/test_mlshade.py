@@ -26,9 +26,11 @@ def sphere_batch(X):
     return np.sum(np.asarray(X) ** 2, axis=1)
 
 
-def make_objective(dim, max_evals, bounds=Bounds(-5.0, 5.0), batch_fn=sphere_batch):
+def make_objective(
+    dim, max_evals, population_size=1, bounds=Bounds(-5.0, 5.0), batch_fn=sphere_batch
+):
     problem = FunctionProblem(sphere, dim, bounds, batch_fn=batch_fn)
-    return TrackedObjective(problem, max_evals)
+    return TrackedObjective(problem, max_evals, population_size)
 
 
 class TestRandomDimensionGrouping:
@@ -144,10 +146,8 @@ class TestMaskedGenerations:
 
 class TestMlshadeSpaSolver:
     def test_sphere_improvement_and_full_budget(self):
-        obj = make_objective(20, 6000)
-        result = mlshade_spa(
-            obj, np.random.default_rng(0), population_size=50, group_size_target=5
-        )
+        obj = make_objective(20, 6000, population_size=50)
+        result = mlshade_spa(obj, np.random.default_rng(0), group_size_target=5)
         assert result.best_f < 1e-3
         assert obj.evals_used == 6000
         assert result.evals_used == 6000
@@ -163,27 +163,25 @@ class TestMlshadeSpaSolver:
         # Each cycle spends 25 generations' worth, so the shrink schedule
         # depends on the budget alone; at this one the last cycle runs at the
         # floor.  One-row batches are line-search steps.
-        obj = make_objective(10, 5500, batch_fn=recording_batch)
-        mlshade_spa(obj, np.random.default_rng(1), population_size=40)
+        obj = make_objective(10, 5500, population_size=40, batch_fn=recording_batch)
+        mlshade_spa(obj, np.random.default_rng(1))
         assert [n for n in sizes if n > 1][-1] == 20
 
     def test_budget_smaller_than_population(self):
-        obj = make_objective(5, 7)
-        result = mlshade_spa(obj, np.random.default_rng(2), population_size=20)
+        obj = make_objective(5, 7, population_size=20)
+        result = mlshade_spa(obj, np.random.default_rng(2))
         assert obj.evals_used == 7
         assert np.isfinite(result.best_f)
 
     def test_deterministic_given_seed(self):
         r1 = mlshade_spa(
-            make_objective(8, 2000),
+            make_objective(8, 2000, population_size=20),
             np.random.default_rng(9),
-            population_size=20,
             group_size_target=5,
         )
         r2 = mlshade_spa(
-            make_objective(8, 2000),
+            make_objective(8, 2000, population_size=20),
             np.random.default_rng(9),
-            population_size=20,
             group_size_target=5,
         )
         assert r1.best_f == r2.best_f
@@ -196,21 +194,19 @@ class TestMlshadeSpaSolver:
             seen.append(np.asarray(X).copy())
             return sphere_batch(X)
 
-        obj = make_objective(6, 1500, batch_fn=checked_batch)
-        mlshade_spa(
-            obj, np.random.default_rng(4), population_size=20, group_size_target=3
-        )
+        obj = make_objective(6, 1500, population_size=20, batch_fn=checked_batch)
+        mlshade_spa(obj, np.random.default_rng(4), group_size_target=3)
         stacked = np.vstack(seen)
         assert stacked.min() >= -5.0
         assert stacked.max() <= 5.0
 
     def test_tiny_population_rejected(self):
-        obj = make_objective(5, 100)
+        obj = make_objective(5, 100, population_size=4)
         with pytest.raises(ValueError):
-            mlshade_spa(obj, np.random.default_rng(0), population_size=4)
+            mlshade_spa(obj, np.random.default_rng(0))
 
     def test_population_below_reduction_floor_rejected_before_evaluating(self):
-        obj = make_objective(5, 100)
+        obj = make_objective(5, 100, population_size=19)
         with pytest.raises(ValueError):
-            mlshade_spa(obj, np.random.default_rng(0), population_size=19)
+            mlshade_spa(obj, np.random.default_rng(0))
         assert obj.evals_used == 0

@@ -1,5 +1,6 @@
 """End-to-end checks of the named solver configurations on small problems."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -29,17 +30,16 @@ class TestRegistry:
         with pytest.raises(KeyError, match="eade"):
             solve(
                 "gradient-descent",
-                TrackedObjective(small_problem(), max_evals=10),
+                TrackedObjective(small_problem(), max_evals=10, population_size=20),
                 np.random.default_rng(0),
-                population_size=20,
             )
 
 
 class TestSolversOnSensorProblem:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_budget_spent_and_result_coherent(self, name):
-        objective = TrackedObjective(small_problem(), max_evals=3000)
-        result = solve(name, objective, np.random.default_rng(7), population_size=20)
+        objective = TrackedObjective(small_problem(), max_evals=3000, population_size=20)
+        result = solve(name, objective, np.random.default_rng(7))
         assert objective.evals_used == 3000
         assert result.evals_used == 3000
         assert np.isfinite(result.best_f)
@@ -56,8 +56,8 @@ class TestSolversOnSensorProblem:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_finds_feasible_allocation_on_loose_constraint(self, name):
         problem = small_problem(epsilon=0.1)
-        objective = TrackedObjective(problem, max_evals=4000)
-        result = solve(name, objective, np.random.default_rng(3), population_size=20)
+        objective = TrackedObjective(problem, max_evals=4000, population_size=20)
+        result = solve(name, objective, np.random.default_rng(3))
         assert result.best_feasible
         assert problem.error_probability(result.best_x) <= 0.1 + 1e-12
         assert np.all(result.best_x >= 0.0)
@@ -65,39 +65,54 @@ class TestSolversOnSensorProblem:
 
     @pytest.mark.parametrize("name", ["cbcc-rdg3", "dgsc-decc"])
     def test_decomposition_solvers_survive_tiny_budgets(self, name):
-        objective = TrackedObjective(small_problem(), max_evals=12)
-        result = solve(name, objective, np.random.default_rng(0), population_size=20)
+        objective = TrackedObjective(small_problem(), max_evals=12, population_size=20)
+        result = solve(name, objective, np.random.default_rng(0))
         assert objective.evals_used <= 12
         assert np.isfinite(result.best_f)
 
     def test_deterministic_across_repeats(self):
         outcomes = []
         for _ in range(2):
-            objective = TrackedObjective(small_problem(), max_evals=2000)
-            result = solve(
-                "cbcc-rdg3", objective, np.random.default_rng(11), population_size=20
-            )
+            objective = TrackedObjective(small_problem(), max_evals=2000, population_size=20)
+            result = solve("cbcc-rdg3", objective, np.random.default_rng(11))
             outcomes.append(result.best_f)
         assert outcomes[0] == outcomes[1]
 
 
 class IterationRecorder(PowerAllocationProblem):
-    """The sensor problem, keeping the penalty iteration of every row."""
+    """The sensor problem, recording each row's iteration and each batch's size."""
 
     def __init__(self, config):
         super().__init__(config)
         self.iterations = []
+        self.batch_rows = []
 
     def batch(self, G, iterations):
         self.iterations.extend(np.asarray(iterations).tolist())
+        self.batch_rows.append(len(G))
         return super().batch(G, iterations)
+
+
+def test_solvers_take_objective_and_rng_and_start_at_the_trackers_population():
+    for solver in SOLVERS.values():
+        required = [
+            p.name
+            for p in inspect.signature(solver).parameters.values()
+            if p.default is inspect.Parameter.empty
+        ]
+        assert required == ["objective", "rng"]
+    for name, n in [("eade", 12), ("mlshade-spa", 25)]:
+        problem = IterationRecorder(small_problem().config)
+        objective = TrackedObjective(problem, 500, population_size=n)
+        solve(name, objective, np.random.default_rng(0))
+        assert problem.batch_rows[0] == n, name
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_every_solver_runs_on_the_trackers_clock(name):
     problem = IterationRecorder(small_problem(num_sensors=40).config)
     objective = TrackedObjective(problem, max_evals=3000, population_size=30)
-    solve(name, objective, np.random.default_rng(5), population_size=30)
+    solve(name, objective, np.random.default_rng(5))
     seen = np.array(problem.iterations)
     clock = np.ceil(np.arange(1, len(seen) + 1) / 30)
     assert len(seen) == 3000
