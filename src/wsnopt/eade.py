@@ -20,12 +20,14 @@ from .evo import (
 )
 
 # The solver's published settings: the crossover-rate candidates, the range
-# of the DE/rand/1 weight, and the pool's refresh period as a fraction of
-# the run's generations.
+# of the DE/rand/1 weight, the pool's refresh period as a fraction of the
+# run's generations, and the share of the ranks in each of the top and bottom
+# slices.
 POOL_VALUES = (0.05, 0.5, 0.95)
 F_LOW, F_HIGH = 0.4, 0.9
 LEARNING_FRACTION = 0.1
-# The smallest population whose default rank slices (a tenth each) are not empty.
+SLICE_FRACTION = 0.1
+# The smallest population whose rank slices are not empty.
 MIN_POPULATION = 10
 
 
@@ -85,11 +87,9 @@ def eade_mutation(
     pulled toward its top one and pushed away from its bottom one by uniform
     random weights (or the given ``f_top`` / ``f_bottom``), that is
     ``mid + f_top*(top - mid) + f_bottom*(mid - bottom)``, computed in place
-    in the gathered rows.
+    in the gathered rows.  The caller keeps all three slices non-empty.
     """
     n_pop = len(order)
-    if n_slice < 1 or n_pop - 2 * n_slice < 1:
-        raise ValueError("rank slices are empty for this population size")
     top = positions[order[rng.integers(n_slice, size=n)]]
     mid = positions[order[rng.integers(n_slice, n_pop - n_slice, size=n)]]
     bottom = positions[order[rng.integers(n_pop - n_slice, n_pop, size=n)]]
@@ -109,23 +109,20 @@ def eade_mutation(
 def eade(
     objective: TrackedObjective,
     rng: np.random.Generator,
-    slice_fraction: float = 0.1,
     mix_probability: float = 0.5,
 ) -> TrackedObjective:
     """Population solver mixing rank-slice donors with DE/rand/1/bin.
 
     Each row's donor is a rank-slice donor with ``mix_probability``, else a
     DE/rand/1 donor; the slices are the best and the worst
-    ``slice_fraction`` of the population, which is the tracker's size.
+    ``SLICE_FRACTION`` of the population, which is the tracker's size.
     """
-    if not 0.0 < slice_fraction < 0.5:
-        raise ValueError("slice_fraction must lie in (0, 0.5)")
     if not 0.0 <= mix_probability <= 1.0:
         raise ValueError("mix_probability must lie in [0, 1]")
     n_pop = objective.population_size
-    n_slice = int(slice_fraction * n_pop)
-    if n_slice < 1 or n_pop - 2 * n_slice < 1:
+    if n_pop < MIN_POPULATION:
         raise ValueError(f"population_size {n_pop} is too small for the slices")
+    n_slice = int(SLICE_FRACTION * n_pop)
 
     bounds = objective.bounds
     pop, fit = init_population(objective, rng)

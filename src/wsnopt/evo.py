@@ -2,11 +2,11 @@
 
 Populations are plain ``(NP, D)`` arrays of positions with a parallel fitness
 vector, matching the numpy-first style of the rest of the package.  The
-pieces here are the ones every solver needs: bounded uniform initialization,
-whole-population donor-index draws and binomial crossover, reflection bound
-repair, linear population-size reduction, success-history parameter memory,
-and a tracker that owns the evaluation budget, the penalty clock and the
-convergence history.
+pieces here are the ones two or more solvers share: bounded uniform
+initialization, whole-population donor-index draws and binomial crossover,
+reflection bound repair, and a tracker that owns the evaluation budget, the
+penalty clock and the convergence history.  What one solver alone uses, its
+settings included, lives in that solver's module.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Population size at the end of a linear population-size reduction.
-MIN_POPULATION = 20
-# Starting mutation weight and crossover rate of every success-history slot.
-HISTORY_INIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,7 @@ class FunctionProblem:
             values = np.asarray(self.batch_fn(X), dtype=float)
         else:
             values = np.array([self.fn(row) for row in X], dtype=float)
-        return values, None, None
+        return values, np.zeros(len(values), dtype=bool), None
 
 
 class TrackedObjective:
@@ -79,10 +74,10 @@ class TrackedObjective:
     the tracker itself as its result.
 
     The one best-so-far (``best_x``, ``best_f``, ``best_feasible``) follows
-    Deb's feasibility rules: a feasible row beats any infeasible one (rows
-    with no feasibility flag count as infeasible), and within a class the
-    lower value wins.  A feasible best's ``best_f`` is its power, and
-    ``improvements`` holds ``(evaluation, best_f)`` at every change of it.
+    Deb's feasibility rules: a feasible row beats any infeasible one, and
+    within a class the lower value wins.  A feasible best's ``best_f`` is its
+    power, and ``improvements`` holds ``(evaluation, best_f)`` at every change
+    of it.
     """
 
     def __init__(self, problem, max_evals: int, population_size: int = 1):
@@ -116,8 +111,6 @@ class TrackedObjective:
         return self.best_x if self.best_feasible else None
 
     def _record(self, X: np.ndarray, values: np.ndarray, feasible, start: int):
-        if feasible is None:
-            feasible = np.zeros(len(values), dtype=bool)
         if len(values) == 1:
             rows = (0,)
         else:
@@ -185,8 +178,6 @@ def init_population(
     ``inf``.
     """
     n_pop = objective.population_size
-    if n_pop < 4:
-        raise ValueError("population size must be at least 4")
     bounds = objective.bounds
     pop = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, objective.dimension))
     fit = np.full(n_pop, np.inf)
@@ -241,74 +232,3 @@ def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
     np.subtract(2.0 * low, x, out=x, where=below)
     np.subtract(2.0 * high, x, out=x, where=above)
     return np.clip(x, low, high, out=x)
-
-
-def linear_pop_size_reduction(used: int, max_evals: int, n_init: int) -> int:
-    """Target population size, shrinking linearly with budget consumption.
-
-    The size falls from ``n_init`` when none of the ``max_evals`` evaluations
-    are ``used`` to ``MIN_POPULATION`` when all of them are.
-    """
-    if MIN_POPULATION > n_init:
-        raise ValueError("the minimum population cannot exceed n_init")
-    frac = used / max_evals
-    # Round half up so the schedule is platform independent.
-    return int(np.floor(n_init - (n_init - MIN_POPULATION) * frac + 0.5))
-
-
-def shrink_population(
-    positions: np.ndarray, fitness: np.ndarray, target: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the worst members until only ``target`` remain (best preserved)."""
-    if target >= len(positions):
-        return positions, fitness
-    keep = np.argsort(fitness, kind="stable")[:target]
-    keep.sort()
-    return positions[keep], fitness[keep]
-
-
-class SuccessHistory:
-    """Circular success-history memory for DE control parameters.
-
-    Each slot stores a mean mutation weight and crossover rate.  Updates use
-    the improvement-weighted Lehmer mean for the mutation weight and the
-    improvement-weighted arithmetic mean for the crossover rate; a
-    generation with no successes leaves the memory untouched.  Every slot
-    starts at ``HISTORY_INIT``.
-    """
-
-    def __init__(self, size: int = 5):
-        if size < 1:
-            raise ValueError("memory size must be positive")
-        self.f_mean = np.full(size, HISTORY_INIT)
-        self.cr_mean = np.full(size, HISTORY_INIT)
-        self.cursor = 0
-
-    def update(self, f_values, cr_values, improvements):
-        f_values = np.asarray(f_values, dtype=float)
-        cr_values = np.asarray(cr_values, dtype=float)
-        improvements = np.asarray(improvements, dtype=float)
-        if f_values.size == 0:
-            return
-        total = improvements.sum()
-        if total <= 0.0:
-            return
-        w = improvements / total
-        self.f_mean[self.cursor] = np.sum(w * f_values**2) / np.sum(w * f_values)
-        self.cr_mean[self.cursor] = np.sum(w * cr_values)
-        self.cursor = (self.cursor + 1) % len(self.f_mean)
-
-    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` (F, CR) pairs, each around a uniformly chosen memory slot.
-
-        F is Cauchy around the slot mean, redrawn while non-positive and
-        capped at 1; CR is normal around the slot mean, clipped to [0, 1].
-        """
-        slot = rng.integers(len(self.f_mean), size=n)
-        f = np.zeros(n)
-        redraw = np.ones(n, dtype=bool)
-        while redraw.any():
-            f[redraw] = self.f_mean[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.sum())
-            redraw = f <= 0.0
-        cr = np.clip(rng.normal(self.cr_mean[slot], 0.1), 0.0, 1.0)
-        return np.minimum(f, 1.0), cr

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .eade import MIN_POPULATION as EADE_MIN_POPULATION
-from .evo import MIN_POPULATION, TrackedObjective
+from .evo import TrackedObjective
 from .problem import PowerAllocationProblem, WsnConfig
-from .solvers import SOLVERS, solve
+from .solvers import MIN_POPULATION, SOLVERS, solve
 from .stats import friedman_ranks, paired_rank_tests
 
 
@@ -147,7 +146,6 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must not repeat: {self.algorithms}")
-        floors = (("mlshade-spa", MIN_POPULATION), ("eade", EADE_MIN_POPULATION))
         for case in self.cases():
             if case.sensors not in self.population_sizes:
                 raise ValueError(
@@ -155,8 +153,9 @@ class ExperimentConfig:
                     f" (case {case.case_id})"
                 )
             population = self.population_sizes[case.sensors]
-            for algorithm, floor in floors:
-                if algorithm in self.algorithms and population < floor:
+            for algorithm in self.algorithms:
+                floor = MIN_POPULATION.get(algorithm, 1)
+                if population < floor:
                     raise ValueError(
                         f"{algorithm} needs a population of at least {floor}"
                         f" (case {case.case_id})"

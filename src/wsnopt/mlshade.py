@@ -9,7 +9,8 @@ every generation mutates only one group, so the step behaves like a
 coordinate-block search inside the full-dimensional population.  The
 cycle ends with a multi-trajectory line search around the best member and
 a linear population-size reduction, which does not move the tracker's
-penalty clock.
+penalty clock.  The solver's success-history memory and reduction schedule
+live here, with its settings.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ import math
 
 import numpy as np
 
-from .eade import CrossoverRatePool, eade_mutation
+from .eade import SLICE_FRACTION, CrossoverRatePool, eade_mutation
 from .evo import (
-    MIN_POPULATION,
-    SuccessHistory,
     TrackedObjective,
     binomial_crossover,
     init_population,
-    linear_pop_size_reduction,
     pick_distinct,
     reflect_into_bounds,
-    shrink_population,
 )
 
 # The solver's published settings.  A cycle spends CYCLE_GENERATIONS
@@ -37,8 +34,13 @@ from .evo import (
 CYCLE_GENERATIONS = 25
 LOCAL_FRACTION = 0.1
 QUOTA_FLOOR = 0.1
-# Success-history DE: memory slots and the p-best fraction.
+# Population size at the end of the linear population-size reduction, and
+# so the smallest population the solver starts at.
+MIN_POPULATION = 20
+# Success-history DE: memory slots, the starting mutation weight and
+# crossover rate of every slot, and the p-best fraction.
 HISTORY_SIZE = 5
+HISTORY_INIT = 0.5
 P_BEST_FRACTION = 0.1
 # Rank-slice DE: slice generations between crossover-pool refreshes.
 POOL_PERIOD = 10
@@ -125,6 +127,73 @@ def quota_weights(rates: np.ndarray) -> np.ndarray:
     return QUOTA_FLOOR + (1.0 - k * QUOTA_FLOOR) * (rates / total)
 
 
+def linear_pop_size_reduction(used: int, max_evals: int, n_init: int) -> int:
+    """Target population size, shrinking linearly with budget consumption.
+
+    The size falls from ``n_init`` when none of the ``max_evals`` evaluations
+    are ``used`` to ``MIN_POPULATION`` when all of them are.
+    """
+    frac = used / max_evals
+    # Round half up so the schedule is platform independent.
+    return int(np.floor(n_init - (n_init - MIN_POPULATION) * frac + 0.5))
+
+
+def shrink_population(
+    positions: np.ndarray, fitness: np.ndarray, target: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the worst members until only ``target`` remain (best preserved)."""
+    if target >= len(positions):
+        return positions, fitness
+    keep = np.argsort(fitness, kind="stable")[:target]
+    keep.sort()
+    return positions[keep], fitness[keep]
+
+
+class SuccessHistory:
+    """Circular success-history memory for DE control parameters.
+
+    Each slot stores a mean mutation weight and crossover rate.  Updates use
+    the improvement-weighted Lehmer mean for the mutation weight and the
+    improvement-weighted arithmetic mean for the crossover rate; a
+    generation with no successes leaves the memory untouched.  Every slot
+    starts at ``HISTORY_INIT``.
+    """
+
+    def __init__(self, size: int = HISTORY_SIZE):
+        self.f_mean = np.full(size, HISTORY_INIT)
+        self.cr_mean = np.full(size, HISTORY_INIT)
+        self.cursor = 0
+
+    def update(self, f_values, cr_values, improvements):
+        f_values = np.asarray(f_values, dtype=float)
+        cr_values = np.asarray(cr_values, dtype=float)
+        improvements = np.asarray(improvements, dtype=float)
+        if f_values.size == 0:
+            return
+        total = improvements.sum()
+        if total <= 0.0:
+            return
+        w = improvements / total
+        self.f_mean[self.cursor] = np.sum(w * f_values**2) / np.sum(w * f_values)
+        self.cr_mean[self.cursor] = np.sum(w * cr_values)
+        self.cursor = (self.cursor + 1) % len(self.f_mean)
+
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` (F, CR) pairs, each around a uniformly chosen memory slot.
+
+        F is Cauchy around the slot mean, redrawn while non-positive and
+        capped at 1; CR is normal around the slot mean, clipped to [0, 1].
+        """
+        slot = rng.integers(len(self.f_mean), size=n)
+        f = np.zeros(n)
+        redraw = np.ones(n, dtype=bool)
+        while redraw.any():
+            f[redraw] = self.f_mean[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.sum())
+            redraw = f <= 0.0
+        cr = np.clip(rng.normal(self.cr_mean[slot], 0.1), 0.0, 1.0)
+        return np.minimum(f, 1.0), cr
+
+
 # ---- strategy generations ------------------------------------------------
 #
 # Each strategy builds its trial stack on the ``group`` columns of the
@@ -158,7 +227,7 @@ def _history_de_trials(pop, fit, group, rng, state):
 
 def _slice_de_trials(pop, fit, group, rng, pool):
     n_pop = len(pop)
-    n_slice = max(1, int(0.1 * n_pop))
+    n_slice = int(SLICE_FRACTION * n_pop)
     sub = pop[:, group]
     drawn, cr = pool.draw(n_pop, rng)
     donors = eade_mutation(sub, np.argsort(fit, kind="stable"), n_slice, n_pop, rng)
@@ -217,11 +286,11 @@ def mlshade_spa(
     bounds = objective.bounds
     pop, fit = init_population(objective, rng)
 
-    history = SuccessHistory(HISTORY_SIZE)
+    history = SuccessHistory()
     archive: list[np.ndarray] = []
     pool = CrossoverRatePool()
     local_step = MMTS_RESTART_FRACTION * bounds.width
-    n_groups = max(1, math.ceil(dim / group_size_target))
+    n_groups = math.ceil(dim / group_size_target)
     strategies = (
         (_history_de_trials, (history, archive)),
         (_slice_de_trials, pool),
@@ -230,7 +299,7 @@ def mlshade_spa(
     rates = np.zeros(len(strategies))
 
     while objective.remaining > 0:
-        partition = random_dimension_grouping(dim, min(n_groups, dim), rng)
+        partition = random_dimension_grouping(dim, n_groups, rng)
         n_pop = len(pop)
         cycle_quota = min(CYCLE_GENERATIONS * n_pop, objective.remaining)
         ea_quota = cycle_quota - int(round(LOCAL_FRACTION * cycle_quota))

@@ -17,9 +17,11 @@ import numpy as np
 
 from .cc import ContributionScheduler, RoundRobinScheduler, cc_optimize
 from .cmaes import CmaesSubsolver
+from .eade import MIN_POPULATION as EADE_MIN_POPULATION
 from .eade import eade
 from .evo import BudgetExhausted, TrackedObjective
 from .grouping import dgsc_group, rdg3_group
+from .mlshade import MIN_POPULATION as MLSHADE_MIN_POPULATION
 from .mlshade import mlshade_spa
 from .sansde import SansdeSubsolver
 
@@ -63,6 +65,9 @@ SOLVERS = {
     "cbcc-rdg3": solve_cbcc_rdg3,
     "dgsc-decc": solve_dgsc_decc,
 }
+# The smallest population each population solver starts at; the other
+# entries run at any population of at least 1.
+MIN_POPULATION = {"eade": EADE_MIN_POPULATION, "mlshade-spa": MLSHADE_MIN_POPULATION}
 
 
 def solve(

@@ -147,7 +147,7 @@ class TestEadeSolver:
         problem = sphere_problem()
         obj = TrackedObjective(problem, 100, 8)
         with pytest.raises(ValueError, match="population_size 8 is too small"):
-            eade(obj, np.random.default_rng(0), slice_fraction=0.1)
+            eade(obj, np.random.default_rng(0))
         assert obj.evals_used == 0
 
     def test_deterministic_given_seed(self):
@@ -164,12 +164,7 @@ class TestEadeSolver:
         seed = 99
 
         solver_obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)
-        result = eade(
-            solver_obj,
-            np.random.default_rng(seed),
-            slice_fraction=0.2,
-            mix_probability=0.0,
-        )
+        result = eade(solver_obj, np.random.default_rng(seed), mix_probability=0.0)
 
         rng = np.random.default_rng(seed)
         obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)

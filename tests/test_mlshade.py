@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.eade import CrossoverRatePool
-from wsnopt.evo import SuccessHistory
+from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.mlshade import (
+    MIN_POPULATION,
+    SuccessHistory,
     _generation,
     _history_de_trials,
     _slice_de_trials,
@@ -122,7 +123,7 @@ class TestMaskedGenerations:
     def setup_generation(self, seed):
         rng = np.random.default_rng(seed)
         obj = make_objective(4, 10000)
-        pop = rng.uniform(-5.0, 5.0, (8, 4))
+        pop = rng.uniform(-5.0, 5.0, (MIN_POPULATION, 4))
         fit = obj.evaluate_batch(pop)
         return obj, pop, fit.copy(), rng
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from wsnopt.evo import TrackedObjective
+from wsnopt.harness import ExperimentConfig
 from wsnopt.problem import PowerAllocationProblem, WsnConfig
-from wsnopt.solvers import SOLVERS, solve
+from wsnopt.solvers import MIN_POPULATION, SOLVERS, solve
 
 
 def small_problem(num_sensors=8, epsilon=0.1, correlation=0.0, seed=42):
@@ -106,6 +107,29 @@ def test_solvers_take_objective_and_rng_and_start_at_the_trackers_population():
         objective = TrackedObjective(problem, 500, population_size=n)
         solve(name, objective, np.random.default_rng(0))
         assert problem.batch_rows[0] == n, name
+
+
+@pytest.mark.parametrize("name", sorted(MIN_POPULATION))
+def test_config_and_solver_share_the_registered_population_floor(name):
+    floor = MIN_POPULATION[name]
+
+    def config(population):
+        return ExperimentConfig(
+            grid=[{"sensors": [8], "epsilon": [0.1], "rho": [0.0]}], algorithms=[name],
+            trials=1, max_evals=200, population_sizes={8: population}, base_seed=0,
+            output_dir="unused",
+        )
+
+    with pytest.raises(ValueError, match=f"{name} needs a population of at least {floor}"):
+        config(floor - 1)
+    config(floor)
+    below = TrackedObjective(small_problem(), 200, population_size=floor - 1)
+    with pytest.raises(ValueError):
+        solve(name, below, np.random.default_rng(0))
+    assert below.evals_used == 0
+    at_floor = TrackedObjective(small_problem(), 200, population_size=floor)
+    solve(name, at_floor, np.random.default_rng(0))
+    assert at_floor.evals_used == 200
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
