@@ -28,6 +28,8 @@ FULL_PROBE_DIMENSION = 400
 SAMPLE_FRACTION = 0.25
 MIN_PARTNERS = 3
 PROBE_BUDGET_FRACTION = 0.8
+# Elements of the one buffer ``similarity_matrix`` probes through.
+_PROBE_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -173,6 +175,28 @@ def _flat_pair(i, j, dim: int):
     return i * (2 * dim - i - 1) // 2 + (j - i - 1)
 
 
+def _sample_pairs(dim: int, target: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted flat indices of ``target`` sampled pairs of ``range(dim)``."""
+    all_pairs = dim * (dim - 1) // 2
+    chosen = np.empty(0, dtype=np.int64)
+    # Connectivity floor: a few random partners for every variable.
+    if target >= MIN_PARTNERS * dim // 2:
+        partners = []
+        for i in range(dim):
+            p = rng.choice(dim - 1, size=min(MIN_PARTNERS, dim - 1), replace=False)
+            j = p + (p >= i)
+            partners.append(_flat_pair(np.minimum(i, j), np.maximum(i, j), dim))
+        chosen = np.unique(np.concatenate(partners))
+    # Then random pairs, in the order drawn, until the target is met.  The
+    # first ``need + len(chosen)`` draws hold at least ``need`` fresh ones.
+    need = max(target - len(chosen), 0)
+    drawn = rng.permutation(all_pairs)[: need + len(chosen)]
+    taken = np.zeros(all_pairs, dtype=bool)
+    taken[chosen] = True
+    fresh = drawn[~taken[drawn]][:need]
+    return np.sort(np.concatenate([chosen, fresh]))[:target]
+
+
 def similarity_matrix(objective: TrackedObjective, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of pairwise interaction strengths.
 
@@ -184,46 +208,51 @@ def similarity_matrix(objective: TrackedObjective, rng: np.random.Generator) -> 
     phase can still follow.  Pair ``(i, j)`` is tested by ``_interaction``
     with both variables moved half the box width from the lower-bound
     corner; entries at or below the threshold are zeroed.
+
+    Singles and pairs are probed in blocks of rows through one reused buffer
+    of at most ``_PROBE_ELEMENTS`` elements (512 KB; one row if a row is
+    longer): each block moves its entries, is evaluated, and has the base
+    written back.  A row's value does not depend on its block, so the block
+    size changes no result.  Besides the returned ``dim x dim`` matrix, the
+    transient memory is that buffer, the row and column of each probed pair,
+    and, when pairs are sampled, one permutation of all the pairs.
+    The kernel works through each block in chunks whose temporaries stay
+    under glibc's 128 KB mmap threshold, so they are reused from the heap
+    instead of arriving as fresh zeroed pages.
     """
     dim = objective.dimension
     base = _lower_corner(objective)
     delta = 0.5 * objective.bounds.width
+    all_pairs = dim * (dim - 1) // 2
+    block = max(1, _PROBE_ELEMENTS // dim)
+    buffer = np.repeat(base[None, :], min(block, max(dim, all_pairs)), axis=0)
+
+    def probe(*columns: np.ndarray):
+        """Each block of columns, and the values with ``delta`` added there."""
+        for start in range(0, len(columns[0]), block):
+            moved = [c[start : start + block] for c in columns]
+            k = np.arange(len(moved[0]))
+            for c in moved:
+                buffer[k, c] += delta
+            values = objective.probe_batch(buffer[: len(k)])
+            for c in moved:
+                buffer[k, c] = base[c]
+            yield moved, values
 
     f_base = objective.probe(base)
-    singles = base[None, :] + delta * np.eye(dim)
-    f_single = objective.probe_batch(singles)
+    f_single = np.concatenate([values for _, values in probe(np.arange(dim))])
 
     sample_fraction = 1.0 if dim <= FULL_PROBE_DIMENSION else SAMPLE_FRACTION
-    all_pairs = dim * (dim - 1) // 2
     cap = int(PROBE_BUDGET_FRACTION * objective.max_evals) - (dim + 1)
     target = min(int(round(sample_fraction * all_pairs)), max(cap, 0), objective.remaining)
+    chosen = np.arange(all_pairs) if target == all_pairs else _sample_pairs(dim, target, rng)
 
-    rows, cols = np.triu_indices(dim, k=1)
-    if target < all_pairs:
-        chosen = np.empty(0, dtype=np.int64)
-        # Connectivity floor: a few random partners for every variable.
-        if target >= MIN_PARTNERS * dim // 2:
-            partners = []
-            for i in range(dim):
-                p = rng.choice(dim - 1, size=min(MIN_PARTNERS, dim - 1), replace=False)
-                j = p + (p >= i)
-                partners.append(_flat_pair(np.minimum(i, j), np.maximum(i, j), dim))
-            chosen = np.unique(np.concatenate(partners))
-        # Then random pairs, in the order drawn, until the target is met.
-        flat = rng.permutation(all_pairs)
-        fresh = flat[~np.isin(flat, chosen)][: max(target - len(chosen), 0)]
-        chosen = np.sort(np.concatenate([chosen, fresh]))[:target]
-        rows, cols = rows[chosen], cols[chosen]
-
+    # Row of each flat pair index from the row offsets, then its column.
+    offsets = _flat_pair(np.arange(dim - 1), np.arange(1, dim), dim)
+    rows = np.searchsorted(offsets, chosen, side="right") - 1
+    cols = chosen - offsets[rows] + rows + 1
     weights = np.zeros((dim, dim))
-    block = 4096
-    for start in range(0, len(rows), block):
-        i, j = rows[start : start + block], cols[start : start + block]
-        points = np.repeat(base[None, :], len(i), axis=0)
-        k = np.arange(len(i))
-        points[k, i] += delta
-        points[k, j] += delta
-        f_pair = objective.probe_batch(points)
+    for (i, j), f_pair in probe(rows, cols):
         lam, hit = _interaction(f_base, f_single[i], f_single[j], f_pair, dim)
         weights[i[hit], j[hit]] = weights[j[hit], i[hit]] = lam[hit]
     return weights
@@ -255,9 +284,17 @@ def dgsc_group(
 
     groups: list[np.ndarray] = []
     if connected.size:
-        sub = weights[np.ix_(connected, connected)]
-        inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
-        laplacian = np.eye(len(connected)) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
+        # I - D^-1/2 W D^-1/2, built in place in the submatrix copy in the
+        # usual order of operations, so the peak is about two dim x dim
+        # matrices; ``0.0 - x``, not ``-x``, keeps zeros positive as I - x does.
+        laplacian = weights[np.ix_(connected, connected)]
+        del weights
+        inv_sqrt = 1.0 / np.sqrt(laplacian.sum(axis=1))
+        laplacian *= inv_sqrt[:, None]
+        laplacian *= inv_sqrt[None, :]
+        diagonal = 1.0 - laplacian.diagonal()
+        np.subtract(0.0, laplacian, out=laplacian)
+        np.fill_diagonal(laplacian, diagonal)
         k_eff = min(k, len(connected))
         _, vectors = eigh(laplacian, subset_by_index=(0, k_eff - 1))
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)

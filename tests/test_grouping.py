@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from wsnopt import grouping
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.grouping import dgsc_group, rdg3_group, similarity_matrix
+from wsnopt.problem import PowerAllocationProblem, WsnConfig
 
 
 def make_objective(fn, dim, bounds=Bounds(0.0, 15.0), max_evals=200000):
@@ -221,6 +223,46 @@ class TestSimilarityMatrix:
         # cap: 80% of 20 minus the 7 single-point probes leaves 9 pair probes
         assert obj.evals_used == 1 + 6 + 9
         np.testing.assert_array_equal(weights, weights.T)
+
+
+def sensor_probes(dim, max_evals, group):
+    """Outcome of one probe phase on a correlated sensor problem.
+
+    Returns the weights bytes (``group`` false) or the groups of
+    ``dgsc_group``, the tracker's ``evals_used`` and ``improvements``, and
+    the row count of every probe batch.
+    """
+    cfg = WsnConfig(num_sensors=dim, correlation=0.5, epsilon=0.1, fading_seed=5)
+    obj = TrackedObjective(PowerAllocationProblem(cfg), max_evals)
+    batches = []
+    probe_batch = obj.probe_batch
+    obj.probe_batch = lambda X: batches.append(len(X)) or probe_batch(X)
+    rng = np.random.default_rng(11)
+    if group:
+        out = [g.tolist() for g in dgsc_group(obj, rng=rng).groups]
+    else:
+        out = similarity_matrix(obj, rng=rng).tobytes()
+    return out, obj.evals_used, obj.improvements, batches
+
+
+class TestProbeBlocks:
+    # 450 variables on 5,000 evaluations sample their pairs, partner floor
+    # included; 120 variables probe every pair.
+    @pytest.mark.parametrize("dim, max_evals", [(450, 5000), (120, 10000)])
+    @pytest.mark.parametrize("group", [False, True], ids=["weights", "groups"])
+    def test_block_size_changes_no_result(self, monkeypatch, dim, max_evals, group):
+        reference = sensor_probes(dim, max_evals, group)
+        assert max(reference[3]) == grouping._PROBE_ELEMENTS // dim
+        for rows in (1, 7, 10**9):
+            monkeypatch.setattr(grouping, "_PROBE_ELEMENTS", rows * dim + dim // 2)
+            out, evals_used, improvements, batches = sensor_probes(dim, max_evals, group)
+            assert out == reference[0]
+            assert evals_used == reference[1]
+            assert improvements == reference[2]
+            if rows == 10**9:
+                assert batches == [1, dim, evals_used - dim - 1]
+            else:
+                assert max(batches) == rows
 
 
 class TestDgsc:

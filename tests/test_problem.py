@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from wsnopt import problem as problem_module
-from wsnopt.evo import Bounds
+from wsnopt.evo import Bounds, TrackedObjective
+from wsnopt.grouping import dgsc_group
 from wsnopt.problem import (
     PowerAllocationProblem,
     RAYLEIGH_UNIT_MEAN_SCALE,
@@ -201,10 +202,13 @@ class TestFusionErrorProbability:
         for g, p in zip(G, batch):
             assert p == prob.error_probabilities(g[None, :])[0]
 
-    def test_white_stack_is_evaluated_without_stack_sized_temporaries(self):
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_white_stack_is_evaluated_without_stack_sized_temporaries(self, rho):
         # Every temporary of the kernel is one chunk of rows, so the peak
-        # stays far below the size of the stack itself.
-        cfg = WsnConfig(num_sensors=800, fading_seed=4)
+        # stays far below the size of the stack itself; at rho > 0 that
+        # covers the finiteness check and the tridiagonal solve's d, e and b
+        # as well.
+        cfg = WsnConfig(num_sensors=800, correlation=rho, fading_seed=4)
         prob = PowerAllocationProblem(cfg, sample_fading(cfg))
         G = np.random.default_rng(3).uniform(0.0, 15.0, size=(4096, 800))
         tracemalloc.start()
@@ -213,7 +217,22 @@ class TestFusionErrorProbability:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < G.nbytes / 4
+        assert peak < G.nbytes / 16
+
+    def test_spectral_grouping_peak_memory_is_a_few_weight_matrices(self):
+        # The probe phase works through one bounded buffer and the Laplacian
+        # is built in place, so the peak is about two dim x dim matrices:
+        # the weights and their submatrix copy, then that copy and eigh's.
+        dim = 800
+        cfg = WsnConfig(num_sensors=dim, correlation=0.0, epsilon=0.1, fading_seed=4)
+        objective = TrackedObjective(PowerAllocationProblem(cfg), 5000)
+        tracemalloc.start()
+        try:
+            dgsc_group(objective, rng=np.random.default_rng(2026))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dim * dim * 8
 
     def test_cached_kernel_constants_survive_every_stack_size(self):
         # dptsv overwrites its inputs in place; a cached constant handed to it
