@@ -153,6 +153,9 @@ def cmd_validate(args) -> int:
     if args.samples < 1000:
         print("--samples must be at least 1000", file=sys.stderr)
         return 2
+    if args.configs < 1:
+        print("--configs must be at least 1", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     sensor_counts = [1, 5, 50]
     correlations = [0.0, 0.5]

@@ -21,12 +21,13 @@ from .evo import (
 
 # The solver's published settings: the crossover-rate candidates, the range
 # of the DE/rand/1 weight, the pool's refresh period as a fraction of the
-# run's generations, and the share of the ranks in each of the top and bottom
-# slices.
+# run's generations, the share of the ranks in each of the top and bottom
+# slices, and the probability that a row's donor is a rank-slice donor.
 POOL_VALUES = (0.05, 0.5, 0.95)
 F_LOW, F_HIGH = 0.4, 0.9
 LEARNING_FRACTION = 0.1
 SLICE_FRACTION = 0.1
+MIX_PROBABILITY = 0.5
 # The smallest population whose rank slices are not empty.
 MIN_POPULATION = 10
 
@@ -77,48 +78,36 @@ def eade_mutation(
     n_slice: int,
     n: int,
     rng: np.random.Generator,
-    f_top: float | None = None,
-    f_bottom: float | None = None,
 ) -> np.ndarray:
     """``n`` donors, each from one top-slice, one middle and one bottom-slice member.
 
     ``order`` ranks the rows of ``positions`` best to worst.  The slices are
     the first and last ``n_slice`` ranks; each donor is its middle member
     pulled toward its top one and pushed away from its bottom one by uniform
-    random weights (or the given ``f_top`` / ``f_bottom``), that is
-    ``mid + f_top*(top - mid) + f_bottom*(mid - bottom)``, computed in place
-    in the gathered rows.  The caller keeps all three slices non-empty.
+    random weights ``u`` and ``v``, drawn in that order after the members:
+    ``mid + u*(top - mid) + v*(mid - bottom)``, computed in place in the
+    gathered rows.  The caller keeps all three slices non-empty.
     """
     n_pop = len(order)
     top = positions[order[rng.integers(n_slice, size=n)]]
     mid = positions[order[rng.integers(n_slice, n_pop - n_slice, size=n)]]
     bottom = positions[order[rng.integers(n_pop - n_slice, n_pop, size=n)]]
-    if f_top is None:
-        f_top = rng.random((n, 1))
-    if f_bottom is None:
-        f_bottom = rng.random((n, 1))
     top -= mid
-    top *= f_top
+    top *= rng.random((n, 1))
     np.subtract(mid, bottom, out=bottom)
-    bottom *= f_bottom
+    bottom *= rng.random((n, 1))
     mid += top
     mid += bottom
     return mid
 
 
-def eade(
-    objective: TrackedObjective,
-    rng: np.random.Generator,
-    mix_probability: float = 0.5,
-) -> TrackedObjective:
+def eade(objective: TrackedObjective, rng: np.random.Generator) -> TrackedObjective:
     """Population solver mixing rank-slice donors with DE/rand/1/bin.
 
-    Each row's donor is a rank-slice donor with ``mix_probability``, else a
+    Each row's donor is a rank-slice donor with ``MIX_PROBABILITY``, else a
     DE/rand/1 donor; the slices are the best and the worst
     ``SLICE_FRACTION`` of the population, which is the tracker's size.
     """
-    if not 0.0 <= mix_probability <= 1.0:
-        raise ValueError("mix_probability must lie in [0, 1]")
     n_pop = objective.population_size
     if n_pop < MIN_POPULATION:
         raise ValueError(f"population_size {n_pop} is too small for the slices")
@@ -138,7 +127,7 @@ def eade(
             pool.refresh()
         n = min(n_pop, objective.remaining)
         drawn, cr = pool.draw(n, rng)
-        slice_rows = rng.random(n) < mix_probability
+        slice_rows = rng.random(n) < MIX_PROBABILITY
         rand_rows = ~slice_rows
         donors = np.empty((n, objective.dimension))
         donors[slice_rows] = eade_mutation(

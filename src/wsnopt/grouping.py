@@ -1,8 +1,8 @@
 """Variable-interaction discovery and decomposition into subproblem groups.
 
 One finite-difference interaction test serves two groupers: recursive
-differential grouping, which applies it to index sets (with an optional
-group-size cap and separable-variable packing), and a spectral clustering
+differential grouping, which applies it to index sets (with a group-size
+cap and separable-variable packing), and a spectral clustering
 variant, which applies it to pairs and embeds the resulting
 interaction-strength graph.  Every probe is charged to the shared evaluation
 budget through the tracked objective, with the penalty iteration pinned so
@@ -20,6 +20,13 @@ from scipy.linalg import eigh
 
 from .evo import TrackedObjective
 
+# The groupers' published settings: rdg3 cuts a merged group once it holds
+# more than SIZE_CAP variables, both groupers pack separable variables into
+# groups of SEPARABLE_PACK, and dgsc clusters the connected variables into
+# ceil(dimension / GROUP_SIZE) groups.
+SIZE_CAP = 50
+SEPARABLE_PACK = 100
+GROUP_SIZE = 100
 # Pair sampling of ``similarity_matrix``: every pair is probed up to this
 # many variables, and above it this fraction of the pairs, with at least
 # MIN_PARTNERS partners per variable; probes never take more than
@@ -140,33 +147,28 @@ def _recursive_grouping(
     return merged_groups, separable
 
 
-def _pack(indices: list[int], pack_size: int) -> list[np.ndarray]:
+def _pack(indices: list[int]) -> list[np.ndarray]:
+    """``indices`` in order, in groups of ``SEPARABLE_PACK``."""
     return [
-        np.array(indices[k : k + pack_size], dtype=int)
-        for k in range(0, len(indices), pack_size)
+        np.array(indices[k : k + SEPARABLE_PACK], dtype=int)
+        for k in range(0, len(indices), SEPARABLE_PACK)
     ]
 
 
-def rdg3_group(
-    objective: TrackedObjective,
-    size_cap: int = 50,
-    separable_pack: int = 100,
-) -> GroupingResult:
+def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     """Recursive differential grouping with capped groups and packed separables.
 
     A growing merged group is cut and emitted as soon as it exceeds
-    ``size_cap``, deliberately breaking long interaction chains so that
+    ``SIZE_CAP``, deliberately breaking long interaction chains so that
     downstream subsolvers face bounded subproblem sizes.  Separable
-    variables are packed, in index order, into groups of ``separable_pack``.
-    With ``size_cap >= dimension`` and ``separable_pack=1`` this is plain
+    variables are packed, in index order, into groups of ``SEPARABLE_PACK``.
+    With ``SIZE_CAP`` >= dimension and ``SEPARABLE_PACK`` = 1 this is plain
     recursive differential grouping: merged groups closed under detected
     interaction, and every separable variable on its own.
     """
-    if size_cap < 1 or separable_pack < 1:
-        raise ValueError("size_cap and separable_pack must be positive")
-    merged, separable = _recursive_grouping(objective, int(size_cap))
+    merged, separable = _recursive_grouping(objective, SIZE_CAP)
     groups = [np.array(g, dtype=int) for g in merged]
-    groups.extend(_pack(separable, separable_pack))
+    groups.extend(_pack(separable))
     return GroupingResult(groups)
 
 
@@ -258,25 +260,16 @@ def similarity_matrix(objective: TrackedObjective, rng: np.random.Generator) -> 
     return weights
 
 
-def dgsc_group(
-    objective: TrackedObjective,
-    rng: np.random.Generator,
-    k_groups: int | None = None,
-    separable_pack: int = 100,
-) -> GroupingResult:
+def dgsc_group(objective: TrackedObjective, rng: np.random.Generator) -> GroupingResult:
     """Decomposition by spectral clustering of the interaction-strength graph.
 
     Variables with no detected interaction are treated as separable and
-    packed in index order; the connected remainder is embedded with the
-    normalized graph Laplacian and split into ``k_groups`` clusters by
-    k-means on the leading eigenvectors.  An entirely empty graph falls
-    back to packing every variable.
+    packed in index order into groups of ``SEPARABLE_PACK``; the connected
+    remainder is embedded with the normalized graph Laplacian and split into
+    ``ceil(dimension / GROUP_SIZE)`` clusters (at most one per variable) by
+    k-means on the leading eigenvectors.  An entirely empty graph falls back
+    to packing every variable.
     """
-    dim = objective.dimension
-    k = k_groups if k_groups is not None else math.ceil(dim / 100)
-    if k < 1:
-        raise ValueError("k_groups must be positive")
-
     weights = similarity_matrix(objective, rng=rng)
     degree = weights.sum(axis=1)
     isolated = np.flatnonzero(degree == 0.0)
@@ -295,7 +288,7 @@ def dgsc_group(
         diagonal = 1.0 - laplacian.diagonal()
         np.subtract(0.0, laplacian, out=laplacian)
         np.fill_diagonal(laplacian, diagonal)
-        k_eff = min(k, len(connected))
+        k_eff = min(math.ceil(objective.dimension / GROUP_SIZE), len(connected))
         _, vectors = eigh(laplacian, subset_by_index=(0, k_eff - 1))
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
@@ -308,5 +301,5 @@ def dgsc_group(
             members = connected[labels == label]
             if members.size:
                 groups.append(np.sort(members))
-    groups.extend(_pack(isolated.tolist(), separable_pack))
+    groups.extend(_pack(isolated.tolist()))
     return GroupingResult(groups)

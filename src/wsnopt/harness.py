@@ -18,6 +18,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,15 +86,28 @@ class ExperimentResult:
     cells: dict
 
 
+class GridBlock(NamedTuple):
+    """One block of the grid: every sensor count crossed with every factor."""
+
+    sensors: tuple
+    epsilon: tuple
+    rho: tuple
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment grid; every construction runs ``__post_init__``'s checks."""
+    """An experiment grid; every construction runs ``__post_init__``'s checks.
 
-    grid: list
-    algorithms: list
+    A checked config cannot change: ``algorithms`` and ``grid`` (of
+    ``GridBlock``) are tuples and ``population_sizes`` is sorted ``(sensors,
+    size)`` pairs.  It takes these forms back, so ``replace`` checks again.
+    """
+
+    grid: tuple
+    algorithms: tuple
     trials: int
     max_evals: int
-    population_sizes: dict
+    population_sizes: tuple
     base_seed: int
     output_dir: str
     workers: int = 1
@@ -117,58 +131,65 @@ class ExperimentConfig:
         return cls(**raw)
 
     def __post_init__(self):
-        if not isinstance(self.population_sizes, dict):
+        sizes = self.population_sizes
+        if isinstance(sizes, dict):
+            sizes = tuple(sizes.items())
+        if not isinstance(sizes, tuple):
             raise ValueError("population_sizes must map sensor counts to sizes")
+        grid = tuple(block if isinstance(block, GridBlock) else GridBlock(
+            *(tuple(block[name]) for name in GridBlock._fields)) for block in self.grid)
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
                     ("trace_step", self.trace_step), ("workers", self.workers)]
-        positive += [(f"population size for {k} sensors", v)
-                     for k, v in self.population_sizes.items()]
+        positive += [(f"population size for {k} sensors", v) for k, v in sizes]
         counts = positive + [("base_seed", self.base_seed)]
-        counts += [("sensor count", n) for block in self.grid for n in block["sensors"]]
+        counts += [("sensor count", n) for n, _ in sizes]
+        counts += [("sensor count", n) for block in grid for n in block.sensors]
         for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        # The sensor counts are integers, so the pairs sort by them.
+        object.__setattr__(self, "population_sizes", tuple(sorted(sizes)))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for name in ("rho", "epsilon"):
-            for value in (v for block in self.grid for v in block[name]):
+            for value in (v for block in grid for v in getattr(block, name)):
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ValueError(f"{name} must be a number, not {value!r}")
         for name, value in positive:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.grid:
+        if not grid:
             raise ValueError("grid must contain at least one block")
         unknown = [a for a in self.algorithms if a not in SOLVERS]
         if unknown:
-            raise ValueError(
-                f"unknown algorithms {unknown}; available: {sorted(SOLVERS)}"
-            )
+            raise ValueError(f"unknown algorithms {unknown}; available: {sorted(SOLVERS)}")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) < len(self.algorithms):
-            raise ValueError(f"algorithms must not repeat: {self.algorithms}")
+            raise ValueError(f"algorithms must not repeat: {list(self.algorithms)}")
         for case in self.cases():
-            if case.sensors not in self.population_sizes:
-                raise ValueError(
-                    f"population size missing for {case.sensors} sensors"
-                    f" (case {case.case_id})"
-                )
-            population = self.population_sizes[case.sensors]
+            population = self.population_size(case.sensors)
+            if population is None:
+                raise ValueError(f"population size missing for {case.sensors} sensors"
+                                 f" (case {case.case_id})")
             for algorithm in self.algorithms:
                 floor = MIN_POPULATION.get(algorithm, 1)
                 if population < floor:
-                    raise ValueError(
-                        f"{algorithm} needs a population of at least {floor}"
-                        f" (case {case.case_id})"
-                    )
+                    raise ValueError(f"{algorithm} needs a population of at least {floor}"
+                                     f" (case {case.case_id})")
             # Builds the case's problem description, which checks its ranges.
             self.problem_config(case)
+
+    def population_size(self, sensors: int) -> int | None:
+        """The population size set for ``sensors`` sensors, or None."""
+        return dict(self.population_sizes).get(sensors)
 
     def cases(self) -> list:
         seen = {}
         for block in self.grid:
-            for sensors in block["sensors"]:
-                for rho in block["rho"]:
-                    for eps in block["epsilon"]:
+            for sensors in block.sensors:
+                for rho in block.rho:
+                    for eps in block.epsilon:
                         case = CaseSpec(int(sensors), float(eps), float(rho))
                         seen.setdefault(case.case_id, case)
         return list(seen.values())
@@ -187,7 +208,7 @@ def run_trial(
 ) -> TrialRecord:
     """Execute one seeded trial and package the outcome."""
     problem = PowerAllocationProblem(config.problem_config(case))
-    population = config.population_sizes[case.sensors]
+    population = config.population_size(case.sensors)
     objective = TrackedObjective(problem, config.max_evals, population)
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     solve(algorithm, objective, np.random.default_rng(seed))

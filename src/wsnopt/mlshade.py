@@ -30,10 +30,12 @@ from .evo import (
 
 # The solver's published settings.  A cycle spends CYCLE_GENERATIONS
 # generations' worth of evaluations, LOCAL_FRACTION of them on the line
-# search; each strategy keeps at least QUOTA_FLOOR of the rest.
+# search; each strategy keeps at least QUOTA_FLOOR of the rest.  Each cycle
+# mutates the coordinates in random groups of about GROUP_SIZE_TARGET.
 CYCLE_GENERATIONS = 25
 LOCAL_FRACTION = 0.1
 QUOTA_FLOOR = 0.1
+GROUP_SIZE_TARGET = 100
 # Population size at the end of the linear population-size reduction, and
 # so the smallest population the solver starts at.
 MIN_POPULATION = 20
@@ -155,13 +157,13 @@ class SuccessHistory:
     Each slot stores a mean mutation weight and crossover rate.  Updates use
     the improvement-weighted Lehmer mean for the mutation weight and the
     improvement-weighted arithmetic mean for the crossover rate; a
-    generation with no successes leaves the memory untouched.  Every slot
-    starts at ``HISTORY_INIT``.
+    generation with no successes leaves the memory untouched.  The
+    ``HISTORY_SIZE`` slots all start at ``HISTORY_INIT``.
     """
 
-    def __init__(self, size: int = HISTORY_SIZE):
-        self.f_mean = np.full(size, HISTORY_INIT)
-        self.cr_mean = np.full(size, HISTORY_INIT)
+    def __init__(self):
+        self.f_mean = np.full(HISTORY_SIZE, HISTORY_INIT)
+        self.cr_mean = np.full(HISTORY_SIZE, HISTORY_INIT)
         self.cursor = 0
 
     def update(self, f_values, cr_values, improvements):
@@ -270,15 +272,13 @@ def _generation(strategy, state, pop, fit, group, objective, rng) -> float:
 # ---- main loop ------------------------------------------------------------
 
 
-def mlshade_spa(
-    objective: TrackedObjective,
-    rng: np.random.Generator,
-    group_size_target: int = 100,
-) -> TrackedObjective:
+def mlshade_spa(objective: TrackedObjective, rng: np.random.Generator) -> TrackedObjective:
     """Quota-scheduled hybrid of three DE strategies plus a local phase.
 
     The population starts at the tracker's size.  Each cycle mutates the
-    coordinates in random groups of about ``group_size_target``.
+    coordinates in random groups of about ``GROUP_SIZE_TARGET``; each
+    strategy runs as many whole generations as its quota and the budget
+    allow, and the line search spends what is left of the cycle.
     """
     if objective.population_size < MIN_POPULATION:
         raise ValueError(f"population_size must be at least {MIN_POPULATION}")
@@ -290,7 +290,7 @@ def mlshade_spa(
     archive: list[np.ndarray] = []
     pool = CrossoverRatePool()
     local_step = MMTS_RESTART_FRACTION * bounds.width
-    n_groups = math.ceil(dim / group_size_target)
+    n_groups = math.ceil(dim / GROUP_SIZE_TARGET)
     strategies = (
         (_history_de_trials, (history, archive)),
         (_slice_de_trials, pool),
@@ -304,26 +304,19 @@ def mlshade_spa(
         cycle_quota = min(CYCLE_GENERATIONS * n_pop, objective.remaining)
         ea_quota = cycle_quota - int(round(LOCAL_FRACTION * cycle_quota))
         quotas = np.floor(quota_weights(rates) * ea_quota).astype(int)
+        cycle_end = objective.evals_used + cycle_quota
 
-        spent_total = 0
-        slice_generations = 0
         for s, (strategy, state) in enumerate(strategies):
-            spent = 0
+            generations = min(quotas[s], objective.remaining) // n_pop
             gained = 0.0
-            cursor = 0
-            while spent + n_pop <= quotas[s] and objective.remaining >= n_pop:
-                group = partition[cursor % len(partition)]
-                cursor += 1
+            for g in range(generations):
+                group = partition[g % len(partition)]
                 gained += _generation(strategy, state, pop, fit, group, objective, rng)
-                spent += n_pop
-                if s == 1:
-                    slice_generations += 1
-                    if slice_generations % POOL_PERIOD == 0:
-                        pool.refresh()
-            rates[s] = gained / spent if spent else 0.0
-            spent_total += spent
+                if s == 1 and (g + 1) % POOL_PERIOD == 0:
+                    pool.refresh()
+            rates[s] = gained / (generations * n_pop) if generations else 0.0
 
-        local_budget = min(cycle_quota - spent_total, objective.remaining)
+        local_budget = cycle_end - objective.evals_used
         if local_budget > 0:
             best_i = int(np.argmin(fit))
             x_new, f_new, local_step = mmts_local_search(

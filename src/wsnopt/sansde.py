@@ -16,8 +16,11 @@ import numpy as np
 
 from .evo import binomial_crossover, pick_distinct, reflect_into_bounds
 
-# Members of each group's subpopulation.
+# Members of each group's subpopulation, and the generations between updates
+# of the strategy and scale-family probabilities and of the crossover mean.
 POP_SIZE = 30
+STRATEGY_PERIOD = 50
+CR_PERIOD = 25
 
 
 def strategy_success_probability(ns1: int, nf1: int, ns2: int, nf2: int) -> float:
@@ -42,10 +45,8 @@ def weighted_crossover_mean(cr_values, improvements) -> float:
 class SansdeSubsolver:
     """One subpopulation generation per ``step``; lazy first evaluation."""
 
-    def __init__(self, view, strategy_update_period: int = 50, cr_update_period: int = 25):
+    def __init__(self, view):
         self.view = view
-        self.strategy_update_period = int(strategy_update_period)
-        self.cr_update_period = int(cr_update_period)
         self.p_strategy = 0.5
         self.p_gaussian_f = 0.5
         self.cr_mean = 0.5
@@ -107,12 +108,12 @@ class SansdeSubsolver:
             self.fitness[:n][improved] = values[improved]
 
         self.generation += 1
-        if self.generation % self.strategy_update_period == 0:
+        if self.generation % STRATEGY_PERIOD == 0:
             self.p_strategy = strategy_success_probability(*self._strategy_counts)
             self.p_gaussian_f = strategy_success_probability(*self._fscale_counts)
             self._strategy_counts[:] = 0
             self._fscale_counts[:] = 0
-        if self.generation % self.cr_update_period == 0:
+        if self.generation % CR_PERIOD == 0:
             if self._cr_successes:
                 successes = np.concatenate(self._cr_successes)
                 self.cr_mean = weighted_crossover_mean(successes[:, 0], successes[:, 1])

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsnopt.eade import eade
+from wsnopt import eade as eade_module
+from wsnopt import grouping
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.grouping import dgsc_group, rdg3_group
 from wsnopt.harness import ExperimentConfig, derive_seed, run_experiment
@@ -51,7 +52,9 @@ def run_one(algorithm, config, seed, max_evals, population):
     objective = TrackedObjective(problem, max_evals, population)
     rng = np.random.default_rng(seed)
     if algorithm == "baseline-de":
-        result = eade(objective, rng, mix_probability=0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eade_module, "MIX_PROBABILITY", 0.0)
+            result = eade_module.eade(objective, rng)
     else:
         result = solve(algorithm, objective, rng)
     return problem, result
@@ -216,14 +219,16 @@ def test_tightening_the_error_constraint_never_lowers_power():
         )
 
 
-def test_decomposition_recovers_known_interaction_structure():
+def test_decomposition_recovers_known_interaction_structure(monkeypatch):
     bounds = Bounds(0.0, 4.0)
 
     def sphere(x):
         return float(np.sum(x * x))
 
     problem = FunctionProblem(sphere, 12, bounds)
-    result = rdg3_group(TrackedObjective(problem, 10_000), size_cap=12, separable_pack=1)
+    monkeypatch.setattr(grouping, "SIZE_CAP", 12)
+    monkeypatch.setattr(grouping, "SEPARABLE_PACK", 1)
+    result = rdg3_group(TrackedObjective(problem, 10_000))
     assert sorted(g[0] for g in result.groups) == list(range(12))
     assert all(len(g) == 1 for g in result.groups)
     assert result.sizes == [1] * 12
@@ -232,7 +237,8 @@ def test_decomposition_recovers_known_interaction_structure():
         return float(x[0] * x[5] + x[1] * x[6] + x[2] * x[7] + x[3] * x[8] + x[4] * x[9])
 
     problem = FunctionProblem(paired, 10, bounds)
-    result = rdg3_group(TrackedObjective(problem, 10_000), size_cap=10, separable_pack=1)
+    monkeypatch.setattr(grouping, "SIZE_CAP", 10)
+    result = rdg3_group(TrackedObjective(problem, 10_000))
     pairs = sorted(tuple(sorted(g)) for g in result.groups if len(g) > 1)
     assert pairs == [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
     assert min(result.sizes) >= 2
@@ -244,7 +250,9 @@ def test_decomposition_recovers_known_interaction_structure():
         )
 
     problem = FunctionProblem(chain, 8, bounds)
-    result = rdg3_group(TrackedObjective(problem, 10_000), size_cap=50)
+    monkeypatch.setattr(grouping, "SIZE_CAP", 50)
+    monkeypatch.setattr(grouping, "SEPARABLE_PACK", 100)
+    result = rdg3_group(TrackedObjective(problem, 10_000))
     assert len(result.groups) == 1
     assert sorted(result.groups[0].tolist()) == list(range(8))
 
@@ -256,11 +264,8 @@ def test_decomposition_recovers_known_interaction_structure():
         return total
 
     problem = FunctionProblem(three_blocks, 12, bounds)
-    result = dgsc_group(
-        TrackedObjective(problem, 20_000),
-        k_groups=3,
-        rng=np.random.default_rng(5),
-    )
+    monkeypatch.setattr(grouping, "GROUP_SIZE", 4)  # ceil(12 / 4) = 3 clusters
+    result = dgsc_group(TrackedObjective(problem, 20_000), rng=np.random.default_rng(5))
     recovered = sorted(tuple(sorted(g)) for g in result.groups)
     assert recovered == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from wsnopt import sansde
 from wsnopt.cc import (
     ContextVector,
     ContributionScheduler,
@@ -221,11 +222,13 @@ class TestSansdeSubsolver:
         assert obj.evals_used == 30
         np.testing.assert_array_equal(solver.positions[0], [7.0, 7.0])
 
-    def test_adaptation_counters_reset(self):
+    def test_adaptation_counters_reset(self, monkeypatch):
+        monkeypatch.setattr(sansde, "STRATEGY_PERIOD", 1)
+        monkeypatch.setattr(sansde, "CR_PERIOD", 1)
         obj = make_objective(shifted_quadratic, 3, Bounds(0.0, 15.0), 1000)
         context = ContextVector(np.full(3, 7.0), shifted_quadratic(np.full(3, 7.0)))
         view = SubproblemView(obj, context, [0, 1])
-        solver = SansdeSubsolver(view, strategy_update_period=1, cr_update_period=1)
+        solver = SansdeSubsolver(view)
         rng = np.random.default_rng(1)
         solver.step(rng)
         solver.step(rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wsnopt import eade as eade_module
 from wsnopt.eade import POOL_VALUES, CrossoverRatePool, eade, eade_mutation
 from wsnopt.evo import (
     Bounds,
@@ -62,19 +63,35 @@ class TestCrossoverRatePool:
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
 
 
+class FixedWeights:
+    """A generator that passes ``integers`` to ``rng`` and returns given weights.
+
+    ``eade_mutation`` draws its member ranks with ``integers`` and then one
+    weight array each for the top and the bottom member with ``random``.
+    """
+
+    def __init__(self, rng, *weights):
+        self._rng = rng
+        self._weights = iter(weights)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        return np.full(size, next(self._weights))
+
+
 class TestEadeMutation:
     def test_hand_value_with_singleton_slices(self):
         sorted_pop = np.array([[1.0], [5.0], [9.0]])
-        donor = eade_mutation(
-            sorted_pop, np.arange(3), 1, 4, np.random.default_rng(0), f_top=0.5, f_bottom=0.5
-        )
+        weights = FixedWeights(np.random.default_rng(0), 0.5, 0.5)
+        donor = eade_mutation(sorted_pop, np.arange(3), 1, 4, weights)
         np.testing.assert_allclose(donor, 1.0)
 
     def test_zero_weights_return_middle_member(self):
         sorted_pop = np.array([[0.0], [3.0], [7.0]])
-        donor = eade_mutation(
-            sorted_pop, np.arange(3), 1, 4, np.random.default_rng(1), f_top=0.0, f_bottom=0.0
-        )
+        weights = FixedWeights(np.random.default_rng(1), 0.0, 0.0)
+        donor = eade_mutation(sorted_pop, np.arange(3), 1, 4, weights)
         np.testing.assert_allclose(donor, 3.0)
 
     @pytest.mark.parametrize("n_pop,n_slice", [(3, 0), (4, 2), (2, 1)])
@@ -92,9 +109,9 @@ class TestEadeMutation:
                                [100.0], [100.0], [1000.0], [1000.0]])
         shuffle = rng.permutation(10)
         order = np.argsort(shuffle)
-        donors = eade_mutation(sorted_pop[shuffle], order, 2, 50, rng, f_top=1.0, f_bottom=0.0)
+        donors = eade_mutation(sorted_pop[shuffle], order, 2, 50, FixedWeights(rng, 1.0, 0.0))
         assert donors.shape == (50, 1)
-        np.testing.assert_allclose(donors, 0.0)  # f_top=1 lands on the top slice
+        np.testing.assert_allclose(donors, 0.0)  # a top weight of 1 lands on the top slice
 
 
     @pytest.mark.parametrize("weights", [(0.3, 0.7), (None, None)])
@@ -106,9 +123,10 @@ class TestEadeMutation:
         order = np.random.default_rng(5).permutation(n_pop)
         kept = positions.copy(), order.copy()
 
-        donors = eade_mutation(
-            positions, order, n_slice, n, np.random.default_rng(6), f_top, f_bottom
-        )
+        rng = np.random.default_rng(6)
+        if f_top is not None:
+            rng = FixedWeights(rng, f_top, f_bottom)
+        donors = eade_mutation(positions, order, n_slice, n, rng)
 
         # The same draws, in the same order, through the formula as written.
         rng = np.random.default_rng(6)
@@ -156,7 +174,7 @@ class TestEadeSolver:
         assert r1.best_f == r2.best_f
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
 
-    def test_pure_rand1_mode_matches_hand_rolled_baseline(self):
+    def test_pure_rand1_mode_matches_hand_rolled_baseline(self, monkeypatch):
         # With the donor mixing switched off the solver must replay the
         # plain DE/rand/1/bin trajectory draw for draw.
         n_pop, dim, max_evals = 10, 4, 500
@@ -164,7 +182,8 @@ class TestEadeSolver:
         seed = 99
 
         solver_obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)
-        result = eade(solver_obj, np.random.default_rng(seed), mix_probability=0.0)
+        monkeypatch.setattr(eade_module, "MIX_PROBABILITY", 0.0)
+        result = eade(solver_obj, np.random.default_rng(seed))
 
         rng = np.random.default_rng(seed)
         obj = TrackedObjective(sphere_problem(dim, bounds), max_evals, n_pop)

@@ -17,6 +17,7 @@ from wsnopt.evo import (
     pick_distinct,
     reflect_into_bounds,
 )
+from wsnopt import mlshade
 from wsnopt.mlshade import SuccessHistory, linear_pop_size_reduction, shrink_population
 
 
@@ -179,25 +180,27 @@ class TestPopSizeReduction:
 
 class TestSuccessHistory:
     def test_single_success(self):
-        mem = SuccessHistory(size=5)
+        mem = SuccessHistory()
         mem.update([0.5], [0.3], [1.0])
         assert mem.f_mean[0] == pytest.approx(0.5)
         assert mem.cr_mean[0] == pytest.approx(0.3)
 
     def test_lehmer_mean_weights_large_f(self):
-        mem = SuccessHistory(size=5)
+        mem = SuccessHistory()
         mem.update([0.2, 0.8], [0.1, 0.9], [1.0, 1.0])
         assert mem.f_mean[0] == pytest.approx(0.68)
         assert mem.cr_mean[0] == pytest.approx(0.5)
 
-    def test_empty_update_is_noop(self):
-        mem = SuccessHistory(size=3)
+    def test_empty_update_is_noop(self, monkeypatch):
+        monkeypatch.setattr(mlshade, "HISTORY_SIZE", 3)
+        mem = SuccessHistory()
         mem.update([], [], [])
         np.testing.assert_array_equal(mem.f_mean, 0.5)
         assert mem.cursor == 0
 
-    def test_cursor_wraps(self):
-        mem = SuccessHistory(size=2)
+    def test_cursor_wraps(self, monkeypatch):
+        monkeypatch.setattr(mlshade, "HISTORY_SIZE", 2)
+        mem = SuccessHistory()
         for k in range(3):
             mem.update([0.1 * (k + 1)], [0.2], [1.0])
         # Third update overwrote slot 0.
@@ -205,7 +208,7 @@ class TestSuccessHistory:
         assert mem.cursor == 1
 
     def test_sample_ranges(self):
-        mem = SuccessHistory(size=5)
+        mem = SuccessHistory()
         rng = np.random.default_rng(13)
         f, cr = mem.sample(500, rng)
         assert f.shape == cr.shape == (500,)

@@ -95,15 +95,21 @@ class TestDgInteraction:
 class TestRdg:
     """Plain recursive grouping: a cap at the dimension, separables alone."""
 
-    def test_sphere_fully_separable(self):
+    @pytest.fixture(autouse=True)
+    def separables_alone(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SEPARABLE_PACK", 1)
+
+    def test_sphere_fully_separable(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 10)
         obj = make_objective(sphere, 10)
-        result = rdg3_group(obj, size_cap=10, separable_pack=1)
+        result = rdg3_group(obj)
         assert result.sizes == [1] * 10
         assert_partition(result, 10)
 
-    def test_product_blocks_recovered(self):
+    def test_product_blocks_recovered(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 6)
         obj = make_objective(product_pairs, 6)
-        result = rdg3_group(obj, size_cap=6, separable_pack=1)
+        result = rdg3_group(obj)
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({2, 3}),
@@ -111,9 +117,10 @@ class TestRdg:
         }
         assert min(result.sizes) >= 2
 
-    def test_mixed_structure(self):
+    def test_mixed_structure(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 5)
         obj = make_objective(mixed, 5)
-        result = rdg3_group(obj, size_cap=5, separable_pack=1)
+        result = rdg3_group(obj)
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({3, 4}),
@@ -121,63 +128,66 @@ class TestRdg:
         }
         assert [g.tolist() for g in result.groups if len(g) == 1] == [[2]]
 
-    def test_chain_merges_into_one_group(self):
+    def test_chain_merges_into_one_group(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 8)
         obj = make_objective(rosenbrock, 8)
-        result = rdg3_group(obj, size_cap=8, separable_pack=1)
+        result = rdg3_group(obj)
         assert group_sets(result) == {frozenset(range(8))}
 
-    def test_probe_evals_match_budget(self):
+    def test_probe_evals_match_budget(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 5)
         fn, calls = counted(mixed)
         obj = make_objective(fn, 5)
-        rdg3_group(obj, size_cap=5, separable_pack=1)
+        rdg3_group(obj)
         assert obj.evals_used == len(calls)
         assert obj.evals_used > 0
 
 
 class TestRdg3:
-    def test_separable_variables_packed_in_index_order(self):
+    def test_separable_variables_packed_in_index_order(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SEPARABLE_PACK", 3)
         obj = make_objective(sphere, 10)
-        result = rdg3_group(obj, separable_pack=3)
+        result = rdg3_group(obj)
         assert result.sizes == [3, 3, 3, 1]
         assert result.groups[0].tolist() == [0, 1, 2]
         assert result.groups[3].tolist() == [9]
         assert [g.tolist() for g in result.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
 
-    def test_small_nonseparable_blocks_untouched_by_cap(self):
+    def test_small_nonseparable_blocks_untouched_by_cap(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 4)
         obj = make_objective(product_pairs, 6)
-        result = rdg3_group(obj, size_cap=4)
+        result = rdg3_group(obj)
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({2, 3}),
             frozenset({4, 5}),
         }
 
-    def test_chain_cut_by_size_cap(self):
+    def test_chain_cut_by_size_cap(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 4)
+        monkeypatch.setattr(grouping, "SEPARABLE_PACK", 1)
         obj = make_objective(rosenbrock, 12)
         # Separables stand alone, so a group of one would be a separable.
-        result = rdg3_group(obj, size_cap=4, separable_pack=1)
+        result = rdg3_group(obj)
         assert len(result.groups) >= 2
         assert max(result.sizes) <= 5
         assert_partition(result, 12)
         assert min(result.sizes) >= 2
 
-    def test_cap_at_dimension_matches_uncapped_grouping(self):
-        merged_capped = group_sets(rdg3_group(make_objective(rosenbrock, 8), size_cap=8))
-        merged_plain = group_sets(rdg3_group(make_objective(rosenbrock, 8), size_cap=1000))
+    def test_cap_at_dimension_matches_uncapped_grouping(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 8)
+        merged_capped = group_sets(rdg3_group(make_objective(rosenbrock, 8)))
+        monkeypatch.setattr(grouping, "SIZE_CAP", 1000)
+        merged_plain = group_sets(rdg3_group(make_objective(rosenbrock, 8)))
         assert merged_capped == merged_plain
 
-    def test_full_coupling_yields_bounded_groups(self):
+    def test_full_coupling_yields_bounded_groups(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SIZE_CAP", 4)
         obj = make_objective(full_coupling, 12)
-        result = rdg3_group(obj, size_cap=4)
+        result = rdg3_group(obj)
         assert len(result.groups) >= 2
         assert max(result.sizes) <= 5
         assert_partition(result, 12)
-
-    @pytest.mark.parametrize("kwargs", [{"size_cap": 0}, {"separable_pack": 0}])
-    def test_invalid_parameters_rejected(self, kwargs):
-        obj = make_objective(sphere, 4)
-        with pytest.raises(ValueError):
-            rdg3_group(obj, **kwargs)
 
 
 class TestSimilarityMatrix:
@@ -266,27 +276,31 @@ class TestProbeBlocks:
 
 
 class TestDgsc:
-    def test_product_blocks_recovered(self):
+    # GROUP_SIZE 2 splits six variables into ceil(6 / 2) = 3 clusters.
+    def test_product_blocks_recovered(self, monkeypatch):
+        monkeypatch.setattr(grouping, "GROUP_SIZE", 2)
         obj = make_objective(product_pairs, 6)
-        result = dgsc_group(obj, k_groups=3, rng=np.random.default_rng(0))
+        result = dgsc_group(obj, rng=np.random.default_rng(0))
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({2, 3}),
             frozenset({4, 5}),
         }
 
-    def test_non_contiguous_blocks_recovered(self):
+    def test_non_contiguous_blocks_recovered(self, monkeypatch):
+        monkeypatch.setattr(grouping, "GROUP_SIZE", 2)
         obj = make_objective(shuffled_products, 6)
-        result = dgsc_group(obj, k_groups=3, rng=np.random.default_rng(1))
+        result = dgsc_group(obj, rng=np.random.default_rng(1))
         assert group_sets(result) == {
             frozenset({0, 3}),
             frozenset({1, 4}),
             frozenset({2, 5}),
         }
 
-    def test_isolated_variables_packed_separately(self):
+    def test_isolated_variables_packed_separately(self, monkeypatch):
+        monkeypatch.setattr(grouping, "GROUP_SIZE", 3)  # ceil(5 / 3) = 2 clusters
         obj = make_objective(mixed, 5)
-        result = dgsc_group(obj, k_groups=2, rng=np.random.default_rng(2))
+        result = dgsc_group(obj, rng=np.random.default_rng(2))
         assert group_sets(result) == {
             frozenset({0, 1}),
             frozenset({3, 4}),
@@ -295,9 +309,10 @@ class TestDgsc:
         # Two clusters, so the group of one is the packed isolated variable.
         assert result.groups[-1].tolist() == [2]
 
-    def test_zero_matrix_falls_back_to_packing(self):
+    def test_zero_matrix_falls_back_to_packing(self, monkeypatch):
+        monkeypatch.setattr(grouping, "SEPARABLE_PACK", 4)
         obj = make_objective(sphere, 10)
-        result = dgsc_group(obj, separable_pack=4, rng=np.random.default_rng(0))
+        result = dgsc_group(obj, rng=np.random.default_rng(0))
         assert [g.tolist() for g in result.groups] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_default_group_count_scales_with_dimension(self):
@@ -307,23 +322,16 @@ class TestDgsc:
         assert group_sets(result) == {frozenset(range(6))}
         assert math.ceil(250 / 100) == 3
 
-    def test_deterministic_for_fixed_seed(self):
-        first = dgsc_group(
-            make_objective(shuffled_products, 6), k_groups=3, rng=np.random.default_rng(7)
-        )
-        second = dgsc_group(
-            make_objective(shuffled_products, 6), k_groups=3, rng=np.random.default_rng(7)
-        )
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
+        monkeypatch.setattr(grouping, "GROUP_SIZE", 2)
+        first = dgsc_group(make_objective(shuffled_products, 6), rng=np.random.default_rng(7))
+        second = dgsc_group(make_objective(shuffled_products, 6), rng=np.random.default_rng(7))
         assert group_sets(first) == group_sets(second)
 
-    def test_probe_evals_match_budget(self):
+    def test_probe_evals_match_budget(self, monkeypatch):
+        monkeypatch.setattr(grouping, "GROUP_SIZE", 2)
         fn, calls = counted(product_pairs)
         obj = make_objective(fn, 6)
-        result = dgsc_group(obj, k_groups=3, rng=np.random.default_rng(0))
+        result = dgsc_group(obj, rng=np.random.default_rng(0))
         assert obj.evals_used == len(calls) == 1 + 6 + 15
         assert_partition(result, 6)
-
-    def test_invalid_group_count_rejected(self):
-        obj = make_objective(sphere, 4)
-        with pytest.raises(ValueError):
-            dgsc_group(obj, k_groups=0, rng=np.random.default_rng(0))

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import operator
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,54 @@ class TestConfig:
         config = ExperimentConfig.from_json(write_config(tmp_path))
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.workers = 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: c.grid[0]["rho"].append(1.5),
+            lambda c: c.grid[0].rho.append(1.5),
+            lambda c: operator.setitem(c.grid[0].rho, 0, 1.5),
+            lambda c: c.grid.append(c.grid[0]),
+            lambda c: operator.setitem(c.population_sizes, 8, 3),
+            lambda c: operator.setitem(c.population_sizes[0], 1, 3),
+            lambda c: c.algorithms.append("nope"),
+        ],
+        ids=["block-by-key", "block-values", "block-value", "grid", "sizes", "size-pair",
+             "algorithms"],
+    )
+    def test_checked_config_rejects_in_place_changes(self, tmp_path, change):
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        with pytest.raises((AttributeError, TypeError)):
+            change(config)
+        assert [c.case_id for c in config.cases()] == ["L8-rho0-eps0.1"]
+        assert config.population_size(8) == 20
+        assert config.algorithms == ("eade",)
+
+    def test_population_sizes_are_sorted_pairs_read_by_lookup(self, tmp_path):
+        config = ExperimentConfig.from_json(
+            write_config(tmp_path, population_sizes={"12": 30, "8": 20}))
+        assert config.population_sizes == ((8, 20), (12, 30))
+        assert config.population_size(12) == 30
+        assert config.population_size(9) is None
+
+    def test_population_size_key_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="sensor count must be an integer, not '9'"):
+            ExperimentConfig(
+                grid=[{"sensors": [8], "epsilon": [0.1], "rho": [0.0]}], algorithms=["eade"],
+                trials=1, max_evals=100, population_sizes={8: 20, "9": 20}, base_seed=0,
+                output_dir="unused",
+            )
+
+    def test_pickle_round_trip_gives_an_equal_config(self, tmp_path):
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_replace_takes_the_stored_forms_and_checks_again(self, tmp_path):
+        config = ExperimentConfig.from_json(write_config(tmp_path))
+        with_two = ExperimentConfig.from_json(write_config(tmp_path, workers=2))
+        assert dataclasses.replace(config, workers=2) == with_two
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            dataclasses.replace(config, workers=0)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_run_experiment_checks_worker_override_before_output(self, tmp_path, workers):
@@ -556,6 +606,13 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "agrees" in out
+
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_validate_rejects_a_config_count_below_one(self, capsys, configs):
+        assert main(["validate", "--configs", configs]) == 2
+        captured = capsys.readouterr()
+        assert "--configs must be at least 1" in captured.err
+        assert "agrees" not in captured.out
 
 
 class TestFormatting:

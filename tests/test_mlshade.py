@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wsnopt import mlshade
 from wsnopt.eade import CrossoverRatePool
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.mlshade import (
@@ -146,9 +147,10 @@ class TestMaskedGenerations:
 
 
 class TestMlshadeSpaSolver:
-    def test_sphere_improvement_and_full_budget(self):
+    def test_sphere_improvement_and_full_budget(self, monkeypatch):
+        monkeypatch.setattr(mlshade, "GROUP_SIZE_TARGET", 5)
         obj = make_objective(20, 6000, population_size=50)
-        result = mlshade_spa(obj, np.random.default_rng(0), group_size_target=5)
+        result = mlshade_spa(obj, np.random.default_rng(0))
         assert result.best_f < 1e-3
         assert obj.evals_used == 6000
         assert result.evals_used == 6000
@@ -174,21 +176,14 @@ class TestMlshadeSpaSolver:
         assert obj.evals_used == 7
         assert np.isfinite(result.best_f)
 
-    def test_deterministic_given_seed(self):
-        r1 = mlshade_spa(
-            make_objective(8, 2000, population_size=20),
-            np.random.default_rng(9),
-            group_size_target=5,
-        )
-        r2 = mlshade_spa(
-            make_objective(8, 2000, population_size=20),
-            np.random.default_rng(9),
-            group_size_target=5,
-        )
+    def test_deterministic_given_seed(self, monkeypatch):
+        monkeypatch.setattr(mlshade, "GROUP_SIZE_TARGET", 5)
+        r1 = mlshade_spa(make_objective(8, 2000, population_size=20), np.random.default_rng(9))
+        r2 = mlshade_spa(make_objective(8, 2000, population_size=20), np.random.default_rng(9))
         assert r1.best_f == r2.best_f
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
 
-    def test_all_evaluated_points_stay_in_bounds(self):
+    def test_all_evaluated_points_stay_in_bounds(self, monkeypatch):
         seen = []
 
         def checked_batch(X):
@@ -196,7 +191,8 @@ class TestMlshadeSpaSolver:
             return sphere_batch(X)
 
         obj = make_objective(6, 1500, population_size=20, batch_fn=checked_batch)
-        mlshade_spa(obj, np.random.default_rng(4), group_size_target=3)
+        monkeypatch.setattr(mlshade, "GROUP_SIZE_TARGET", 3)
+        mlshade_spa(obj, np.random.default_rng(4))
         stacked = np.vstack(seen)
         assert stacked.min() >= -5.0
         assert stacked.max() <= 5.0

@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsnopt.cmaes import CmaesSubsolver
+from wsnopt.eade import eade_mutation
 from wsnopt.evo import TrackedObjective
+from wsnopt.grouping import dgsc_group, rdg3_group
 from wsnopt.harness import ExperimentConfig
+from wsnopt.mlshade import SuccessHistory
 from wsnopt.problem import PowerAllocationProblem, WsnConfig
+from wsnopt.sansde import SansdeSubsolver
 from wsnopt.solvers import MIN_POPULATION, SOLVERS, solve
 
 
@@ -107,6 +112,22 @@ def test_solvers_take_objective_and_rng_and_start_at_the_trackers_population():
         objective = TrackedObjective(problem, 500, population_size=n)
         solve(name, objective, np.random.default_rng(0))
         assert problem.batch_rows[0] == n, name
+
+
+def test_settings_are_module_constants_not_arguments():
+    # Every published setting lives in its module; the entry points take only
+    # what a run supplies.
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    for solver in SOLVERS.values():
+        assert parameters(solver) == ["objective", "rng"]
+    assert parameters(rdg3_group) == ["objective"]
+    assert parameters(dgsc_group) == ["objective", "rng"]
+    assert parameters(CmaesSubsolver) == ["view"]
+    assert parameters(SansdeSubsolver) == ["view"]
+    assert parameters(SuccessHistory) == []
+    assert parameters(eade_mutation) == ["positions", "order", "n_slice", "n", "rng"]
 
 
 @pytest.mark.parametrize("name", sorted(MIN_POPULATION))
