@@ -3,8 +3,8 @@
 A shared context vector holds the current best full solution.  Each group
 of variables gets a subproblem view that splices candidate sub-vectors
 into the context for evaluation and commits them when they improve the
-context fitness.  A scheduler decides which group the next subsolver step
-goes to; round-robin and contribution-greedy schedulers are provided.
+context fitness.  ``cc_optimize`` gives each subsolver step to the groups in
+turn or, greedily, to the group whose last step lowered the fitness most.
 """
 
 from __future__ import annotations
@@ -65,61 +65,12 @@ class SubproblemView:
         return values
 
 
-class RoundRobinScheduler:
-    """Cycle through the groups in index order."""
-
-    def __init__(self):
-        self._step = 0
-
-    def pick(self, n_groups: int) -> int:
-        group = self._step % n_groups
-        self._step += 1
-        return group
-
-    def record(self, group: int, drop: float):
-        pass
-
-
-class ContributionScheduler:
-    """Greedy contribution-based selection after one warm-up pass.
-
-    Every group is stepped once in order to seed its contribution, then the
-    group whose most recent step improved the context fitness the most is
-    chosen again.  A group's stored contribution is overwritten by its
-    latest improvement, so a stalled group quickly loses its claim.  When
-    every contribution has decayed to zero the scheduler falls back to
-    cycling, which restarts exploration instead of hammering group 0.
-    """
-
-    def __init__(self):
-        self.contributions: np.ndarray | None = None
-        self._warmup = 0
-        self._fallback = 0
-
-    def pick(self, n_groups: int) -> int:
-        if self.contributions is None:
-            self.contributions = np.zeros(n_groups)
-        if self._warmup < n_groups:
-            group = self._warmup
-            self._warmup += 1
-            return group
-        if self.contributions.max() > 0.0:
-            return int(np.argmax(self.contributions))
-        group = self._fallback % n_groups
-        self._fallback += 1
-        return group
-
-    def record(self, group: int, drop: float):
-        if self.contributions is not None:
-            self.contributions[group] = drop
-
-
 def cc_optimize(
     objective: TrackedObjective,
     groups,
     make_subsolver,
     rng: np.random.Generator,
-    scheduler,
+    greedy: bool,
     initial: np.ndarray,
 ):
     """Run cooperative coevolution until the evaluation budget is spent.
@@ -127,21 +78,29 @@ def cc_optimize(
     ``make_subsolver`` (a subsolver class such as ``CmaesSubsolver`` or
     ``SansdeSubsolver``) is called once per group with that group's view and
     must return an object whose ``step(rng)`` advances the subproblem by
-    one internal iteration, spending budget through the view.  ``scheduler``
-    (a ``RoundRobinScheduler`` or ``ContributionScheduler``) picks the group
-    of each step.  ``initial`` seeds the context; it is copied and
-    re-evaluated here.  The penalty clock is the tracker's, whatever the
-    subsolvers' generation sizes.
+    one internal iteration, spending budget through the view.  The groups
+    take turns in index order.  With ``greedy`` (contribution-based
+    coevolution), once every group has had a turn the step goes instead to
+    the group whose latest step lowered the context fitness most; a group's
+    drop is overwritten by each of its steps, and while every drop is zero
+    the turns go on where they stopped.  ``initial`` seeds the context; it is
+    copied and re-evaluated here.  The penalty clock is the tracker's,
+    whatever the subsolvers' generation sizes.
     """
     initial = np.asarray(initial, dtype=float).copy()
     context = ContextVector(initial, objective.evaluate(initial))
 
-    views = [SubproblemView(objective, context, group) for group in groups]
-    subsolvers = [make_subsolver(view) for view in views]
-
+    subsolvers = [make_subsolver(SubproblemView(objective, context, group))
+                  for group in groups]
+    drops = np.zeros(len(groups))
+    turn = 0
     while objective.remaining > 0:
-        group = scheduler.pick(len(groups))
+        if greedy and turn >= len(groups) and drops.max() > 0.0:
+            group = int(np.argmax(drops))
+        else:
+            group = turn % len(groups)
+            turn += 1
         before = context.fitness
         subsolvers[group].step(rng)
-        scheduler.record(group, max(0.0, before - context.fitness))
+        drops[group] = max(0.0, before - context.fitness)
     return objective

@@ -191,7 +191,10 @@ class ExperimentConfig:
                 for rho in block.rho:
                     for eps in block.epsilon:
                         case = CaseSpec(int(sensors), float(eps), float(rho))
-                        seen.setdefault(case.case_id, case)
+                        first = seen.setdefault(case.case_id, case)
+                        if first != case:
+                            raise ValueError(f"{first} and {case} share the"
+                                             f" case id {case.case_id}")
         return list(seen.values())
 
     def problem_config(self, case: CaseSpec) -> WsnConfig:

@@ -78,6 +78,9 @@ class WsnConfig:
     fading_seed: int = 0
 
     def __post_init__(self):
+        for name in ("snr_db", "spacing", "sigma_v2", "sigma_w2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.num_sensors < 1:
             raise ValueError("num_sensors must be at least 1")
         if not 0.0 <= self.correlation < 1.0:
@@ -341,9 +344,6 @@ class PowerAllocationProblem:
 
     def error_probability(self, g: np.ndarray) -> float:
         return float(self.error_probabilities(np.asarray(g, dtype=float)[None, :])[0])
-
-    def constraint_margin(self, g: np.ndarray) -> float:
-        return self.error_probability(g) - self.config.epsilon
 
     def batch(self, G: np.ndarray, iterations: np.ndarray):
         """Evaluate a stack of gain vectors; see ``evaluate_rows``."""

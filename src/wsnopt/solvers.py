@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cc import ContributionScheduler, RoundRobinScheduler, cc_optimize
+from .cc import cc_optimize
 from .cmaes import CmaesSubsolver
 from .eade import MIN_POPULATION as EADE_MIN_POPULATION
 from .eade import eade
@@ -26,7 +26,7 @@ from .mlshade import mlshade_spa
 from .sansde import SansdeSubsolver
 
 
-def _decompose_then_coevolve(objective, rng, group, make_subsolver, scheduler):
+def _decompose_then_coevolve(objective, rng, group, make_subsolver, greedy):
     """Decompose by ``group()``, then coevolve from the probes' best point."""
     try:
         groups = group().groups
@@ -34,9 +34,7 @@ def _decompose_then_coevolve(objective, rng, group, make_subsolver, scheduler):
         return objective
     if objective.remaining <= 0:
         return objective
-    return cc_optimize(
-        objective, groups, make_subsolver, rng, scheduler, objective.best_x
-    )
+    return cc_optimize(objective, groups, make_subsolver, rng, greedy, objective.best_x)
 
 
 def solve_cbcc_rdg3(
@@ -44,8 +42,7 @@ def solve_cbcc_rdg3(
 ) -> TrackedObjective:
     """Capped recursive grouping, then contribution-guided coevolution."""
     return _decompose_then_coevolve(
-        objective, rng, lambda: rdg3_group(objective), CmaesSubsolver,
-        ContributionScheduler(),
+        objective, rng, lambda: rdg3_group(objective), CmaesSubsolver, True
     )
 
 
@@ -54,8 +51,7 @@ def solve_dgsc_decc(
 ) -> TrackedObjective:
     """Spectral decomposition, then round-robin coevolution with adaptive DE."""
     return _decompose_then_coevolve(
-        objective, rng, lambda: dgsc_group(objective, rng=rng), SansdeSubsolver,
-        RoundRobinScheduler(),
+        objective, rng, lambda: dgsc_group(objective, rng=rng), SansdeSubsolver, False
     )
 
 

@@ -36,7 +36,6 @@ class WilcoxonResult:
     p_value: float
     statistic: float
     n_used: int
-    degenerate: bool
     exact: bool
 
 
@@ -98,8 +97,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     Zero differences are dropped.  The exact distribution is used up to 25
     untied differences; otherwise a normal approximation with tie
     correction in the variance and a continuity correction.  All-zero
-    differences are reported as a degenerate comparison with p = 1 rather
-    than an error.
+    differences give p = 1 and ``n_used == 0`` rather than an error.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,7 +109,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     diffs = diffs[diffs != 0.0]
     n = len(diffs)
     if n == 0:
-        return WilcoxonResult(1.0, 0.0, 0, degenerate=True, exact=False)
+        return WilcoxonResult(1.0, 0.0, 0, exact=False)
     if n < 5:
         raise ValueError("need at least 5 nonzero differences")
 
@@ -123,9 +121,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     has_ties = len(np.unique(magnitudes)) < n
 
     if n <= 25 and not has_ties:
-        return WilcoxonResult(
-            _exact_p_value(ranks, statistic, n), statistic, n, False, exact=True
-        )
+        return WilcoxonResult(_exact_p_value(ranks, statistic, n), statistic, n, exact=True)
 
     mean = n * (n + 1) / 4.0
     _, tie_sizes = np.unique(magnitudes, return_counts=True)
@@ -135,7 +131,7 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     ) / 48.0
     z = (statistic - mean + 0.5) / np.sqrt(variance)
     p = min(1.0, 2.0 * float(ndtr(z)))
-    return WilcoxonResult(p, statistic, n, False, exact=False)
+    return WilcoxonResult(p, statistic, n, exact=False)
 
 
 def paired_rank_tests(matrix, baseline_column: int) -> dict[int, WilcoxonResult]:

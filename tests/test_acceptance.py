@@ -65,7 +65,7 @@ def feasible_power(problem, result, tolerance=1e-6):
     if not result.best_feasible:
         return None
     x = result.best_x
-    if problem.constraint_margin(x) > tolerance or np.any(x < 0.0):
+    if problem.error_probability(x) - problem.config.epsilon > tolerance or np.any(x < 0.0):
         return None
     return float(result.best_f)
 

@@ -5,13 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from wsnopt import sansde
-from wsnopt.cc import (
-    ContextVector,
-    ContributionScheduler,
-    RoundRobinScheduler,
-    SubproblemView,
-    cc_optimize,
-)
+from wsnopt.cc import ContextVector, SubproblemView, cc_optimize
 from wsnopt.cmaes import CmaesSubsolver
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.sansde import (
@@ -94,32 +88,6 @@ class TestSubproblemView:
         assert context.values[0] == 0.0
 
 
-class TestSchedulers:
-    def test_round_robin_cycles(self):
-        sched = RoundRobinScheduler()
-        assert [sched.pick(3) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_contribution_greedy_after_warmup(self):
-        sched = ContributionScheduler()
-        assert sched.pick(3) == 0
-        sched.record(0, 5.0)
-        assert sched.pick(3) == 1
-        sched.record(1, 1.0)
-        assert sched.pick(3) == 2
-        sched.record(2, 0.0)
-        # greedy on the largest recorded drop
-        assert sched.pick(3) == 0
-        sched.record(0, 0.0)
-        assert sched.pick(3) == 1
-        sched.record(1, 0.0)
-        # everything at zero: cycle instead of hammering group 0
-        assert sched.pick(3) == 0
-        sched.record(0, 0.0)
-        assert sched.pick(3) == 1
-        sched.record(1, 2.0)
-        assert sched.pick(3) == 1
-
-
 class TestCmaesSubsolver:
     def test_population_size_rule(self):
         obj = make_objective(sphere, 5, Bounds(-5.0, 5.0), 100)
@@ -133,7 +101,7 @@ class TestCmaesSubsolver:
         obj = make_objective(sphere, 5, Bounds(-5.0, 5.0), 6000)
         rng = np.random.default_rng(11)
         result = cc_optimize(
-            obj, [np.arange(5)], CmaesSubsolver, rng, RoundRobinScheduler(),
+            obj, [np.arange(5)], CmaesSubsolver, rng, False,
             random_start(obj, rng),
         )
         assert result.best_f < 1e-8
@@ -189,7 +157,7 @@ class TestCmaesSubsolver:
         obj = rotated_ellipsoid_objective(10, 1e4, 20_000)
         rng = np.random.default_rng(seed)
         result = cc_optimize(
-            obj, [np.arange(10)], CmaesSubsolver, rng, RoundRobinScheduler(),
+            obj, [np.arange(10)], CmaesSubsolver, rng, False,
             random_start(obj, rng),
         )
         assert result.best_f < 1e-8
@@ -242,7 +210,7 @@ class TestSansdeSubsolver:
         obj = make_objective(shifted_quadratic, 4, Bounds(0.0, 15.0), 8000)
         rng = np.random.default_rng(5)
         result = cc_optimize(
-            obj, [[0], [1], [2], [3]], SansdeSubsolver, rng, RoundRobinScheduler(),
+            obj, [[0], [1], [2], [3]], SansdeSubsolver, rng, False,
             random_start(obj, rng),
         )
         assert result.best_f < 1e-6
@@ -255,10 +223,41 @@ class TestCcOptimize:
         seed_point = np.array([5.0, 5.0, 5.0])
         result = cc_optimize(
             obj, [[0, 1], [2]], CmaesSubsolver, np.random.default_rng(0),
-            RoundRobinScheduler(), seed_point,
+            False, seed_point,
         )
         np.testing.assert_array_equal(result.best_x, seed_point)
         assert result.best_f == pytest.approx(shifted_quadratic(seed_point))
+
+    @pytest.mark.parametrize(
+        "greedy, drops, order",
+        [
+            # warm-up, greedy on the largest latest drop, then turns from
+            # group 0 once every drop is zero, greedy again on a new drop
+            (True, [5, 1, 0, 0, 0, 0, 2, 0], [0, 1, 2, 0, 1, 0, 1, 1]),
+            (False, [5, 1, 3, 2, 4, 1], [0, 1, 2, 0, 1, 2]),
+        ],
+        ids=["greedy", "in-turn"],
+    )
+    def test_turn_order(self, greedy, drops, order):
+        picked = []
+        script = iter(drops)
+
+        class Scripted:
+            """One evaluation per step, then a scripted fitness drop."""
+
+            def __init__(self, view):
+                self.view = view
+                self.group = int(view.indices[0])
+
+            def step(self, rng):
+                picked.append(self.group)
+                self.view.objective.evaluate_batch(self.view.context.values[None, :])
+                self.view.context.fitness -= next(script)
+
+        obj = make_objective(sphere, 3, Bounds(-5.0, 5.0), 1 + len(order))
+        cc_optimize(obj, [[0], [1], [2]], Scripted, np.random.default_rng(0),
+                    greedy, np.ones(3))
+        assert picked == order
 
     def test_contribution_scheduler_with_mixed_groups(self):
         def coupled(x):
@@ -267,7 +266,7 @@ class TestCcOptimize:
         obj = make_objective(coupled, 3, Bounds(0.0, 15.0), 4000)
         rng = np.random.default_rng(3)
         result = cc_optimize(
-            obj, [[0, 1], [2]], CmaesSubsolver, rng, ContributionScheduler(),
+            obj, [[0, 1], [2]], CmaesSubsolver, rng, True,
             random_start(obj, rng),
         )
         assert result.best_f < 1e-3
@@ -279,7 +278,7 @@ class TestCcOptimize:
         )
         rng = np.random.default_rng(0)
         cc_optimize(
-            obj, [[0], [1]], SansdeSubsolver, rng, RoundRobinScheduler(),
+            obj, [[0], [1]], SansdeSubsolver, rng, False,
             random_start(obj, rng),
         )
         assert obj.population_size == 25

@@ -99,6 +99,11 @@ class TestConfig:
         expected, _, _ = load_reference_table()
         assert [c.case_id for c in config.cases()] == list(expected)
 
+    def test_a_case_repeated_across_blocks_runs_once(self, tmp_path):
+        block = {"sensors": [8], "epsilon": [0.1], "rho": [0.0, 0.5]}
+        config = ExperimentConfig.from_json(write_config(tmp_path, grid=[block, block]))
+        assert [c.case_id for c in config.cases()] == ["L8-rho0-eps0.1", "L8-rho0.5-eps0.1"]
+
     def test_unknown_algorithm_rejected_with_choices(self, tmp_path):
         path = write_config(tmp_path, algorithms=["eade", "gradient-descent"])
         with pytest.raises(ValueError, match="gradient-descent"):
@@ -242,7 +247,7 @@ class TestTrialRecord:
         case = config.cases()[0]
         record = run_trial(config, case, "mlshade-spa", 0)
         problem = PowerAllocationProblem(config.problem_config(case))
-        margin = problem.constraint_margin(record.gains)
+        margin = problem.error_probability(record.gains) - problem.config.epsilon
         assert record.feasible == (margin <= 0.0 and np.all(record.gains >= 0.0))
         assert record.power == pytest.approx(float(record.gains @ record.gains))
 
@@ -438,6 +443,9 @@ class TestCli:
             ({"algorithms": ["eade", "cbcc-rdg3", "eade"]}, "algorithms must not repeat"),
             ({"population_sizes": {"8": 20, "08": 30}},
              "population_sizes names a sensor count twice"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1, 0.1000001],
+                        "rho": [0.5, 0.50000001]}]},
+             "share the case id L8-rho0.5-eps0.1"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(

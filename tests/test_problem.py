@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             WsnConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["snr_db", "spacing", "sigma_v2", "sigma_w2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WsnConfig(num_sensors=5, correlation=0.5, **{name: value})
+
 
 class TestSignalCovariance:
     def test_two_sensor_hand_value(self):
@@ -321,8 +327,8 @@ class TestPenalty:
     def test_constraint_margin_sign(self):
         cfg = WsnConfig(num_sensors=5, epsilon=0.1, fading_seed=4)
         prob = PowerAllocationProblem(cfg)
-        assert prob.constraint_margin(np.zeros(5)) == pytest.approx(0.4)
-        assert prob.constraint_margin(np.full(5, 10.0)) < 0.0
+        assert prob.error_probability(np.zeros(5)) - cfg.epsilon == pytest.approx(0.4)
+        assert prob.error_probability(np.full(5, 10.0)) - cfg.epsilon < 0.0
 
     def test_stage_boundaries(self):
         # Feasible in error probability; the only violation is one gain at -v.
@@ -338,7 +344,7 @@ class TestPenalty:
         ]
         for v, penalty in stages:
             g = np.array([8.0, 8.0, -v])
-            assert PowerAllocationProblem(cfg, h).constraint_margin(g) < 0.0
+            assert PowerAllocationProblem(cfg, h).error_probability(g) - cfg.epsilon < 0.0
             for iteration in (1, 3):
                 value, power = evaluate_one(cfg, h, g, iteration)
                 assert value == power + iteration * penalty
@@ -355,7 +361,7 @@ class TestPenalty:
         cfg = WsnConfig(num_sensors=4, epsilon=0.1, fading_seed=3)
         h = sample_fading(cfg)
         g = np.full(4, 5.0)
-        assert PowerAllocationProblem(cfg, h).constraint_margin(g) < 0.0
+        assert PowerAllocationProblem(cfg, h).error_probability(g) - cfg.epsilon < 0.0
         value, power = evaluate_one(cfg, h, g, 123)
         assert value == power
         assert power == float(g @ g)
@@ -390,7 +396,7 @@ class TestProblemBatch:
             value, power = evaluate_one(cfg, prob.fading, G[k], iters[k])
             assert values[k] == value
             assert powers[k] == power
-            is_feasible = prob.constraint_margin(G[k]) <= 0.0 and np.all(G[k] >= 0.0)
+            is_feasible = prob.error_probability(G[k]) - cfg.epsilon <= 0.0 and np.all(G[k] >= 0.0)
             assert feasible[k] == is_feasible
 
     def test_feasible_rows_equal_power_exactly(self):

@@ -70,7 +70,7 @@ def test_feasible_rows_are_exactly_penalty_free(rho, data):
     prob, G, iterations = data.draw(instances(rho))
     values, feasible, powers = prob.batch(G, iterations)
     for k, g in enumerate(G):
-        margin = prob.constraint_margin(g)
+        margin = prob.error_probability(g) - prob.config.epsilon
         penalty = staged_reference(margin) + sum(staged_reference(-x) for x in g)
         assert feasible[k] == (penalty == 0.0)
         if feasible[k]:

@@ -106,7 +106,7 @@ class TestWilcoxonSignedRank:
     def test_identical_samples_are_degenerate(self):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert result.p_value == 1.0
-        assert result.degenerate
+        assert result.n_used == 0
 
     def test_too_few_nonzero_differences(self):
         with pytest.raises(ValueError):
