@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process count (overrides config and WSNOPT_WORKERS)",
+        help="process count (overrides the config's workers)",
     )
 
     p_case = sub.add_parser("case", help="run one case with explicit parameters")
@@ -69,17 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    env = os.environ.get("WSNOPT_WORKERS")
     try:
         config = ExperimentConfig.from_json(args.config)
-        workers = args.workers
-        if workers is None and env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"bad WSNOPT_WORKERS value: {env!r}") from None
-        if workers is not None:
-            config = replace(config, workers=workers)
+        if args.workers is not None:
+            config = replace(config, workers=args.workers)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

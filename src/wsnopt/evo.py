@@ -217,16 +217,15 @@ def binomial_crossover(
     return np.where(mask, donors, parents)
 
 
-def reflect_into_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
+def reflect_into_bounds(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Mirror out-of-bounds coordinates at the violated face, then clamp.
 
     A coordinate below the lower face maps to ``2*lower - x`` and one above
     the upper face to ``2*upper - x``; anything still outside after one
-    reflection is clamped to the nearer face.  The input is copied once and
-    the copy repaired in place; both faces' masks are taken before either
-    reflection, so no coordinate is reflected twice.
+    reflection is clamped to the nearer face.  The float array ``x`` is
+    repaired in place and returned; both faces' masks are taken before
+    either reflection, so no coordinate is reflected twice.
     """
-    x = np.array(position, dtype=float)
     low, high = bounds.lower, bounds.upper
     below, above = x < low, x > high
     np.subtract(2.0 * low, x, out=x, where=below)

@@ -70,83 +70,6 @@ def _lower_corner(objective: TrackedObjective) -> np.ndarray:
     return np.full(objective.dimension, objective.bounds.lower, dtype=float)
 
 
-class _SetTester:
-    """Set-level interaction tests against a growing nucleus of variables.
-
-    The nucleus is perturbed to the upper bound face and candidate sets to
-    the box midpoint, so the two shifts never coincide and additively
-    separable contributions cancel exactly.
-    """
-
-    def __init__(self, objective: TrackedObjective):
-        self.objective = objective
-        bounds = objective.bounds
-        self.base = _lower_corner(objective)
-        self.high = bounds.upper
-        self.mid = bounds.lower + 0.5 * bounds.width
-        self.f_base = objective.probe(self.base)
-
-    def nucleus_value(self, nucleus: list[int]) -> float:
-        x = self.base.copy()
-        x[nucleus] = self.high
-        return self.objective.probe(x)
-
-    def interacts(self, nucleus: list[int], f_nucleus: float, candidate) -> bool:
-        candidate = list(candidate)
-        x2 = self.base.copy()
-        x2[candidate] = self.mid
-        x12 = x2.copy()
-        x12[nucleus] = self.high
-        f2, f12 = self.objective.probe_batch(np.stack([x2, x12]))
-        _, hit = _interaction(self.f_base, f_nucleus, f2, f12, self.objective.dimension)
-        return bool(hit)
-
-
-def _recursive_grouping(
-    objective: TrackedObjective, cap: int
-) -> tuple[list[list[int]], list[int]]:
-    """Core recursive differential grouping loop of rdg3."""
-    dim = objective.dimension
-    tester = _SetTester(objective)
-
-    remaining = list(range(dim))
-    merged_groups: list[list[int]] = []
-    separable: list[int] = []
-
-    while remaining:
-        nucleus = [remaining.pop(0)]
-        f_nucleus = tester.nucleus_value(nucleus)
-
-        def absorb(candidates: list[int]) -> bool:
-            """Bisection search absorbing every direct interactor found."""
-            nonlocal f_nucleus
-            if len(nucleus) > cap or not candidates:
-                return False
-            if not tester.interacts(nucleus, f_nucleus, candidates):
-                return False
-            if len(candidates) == 1:
-                var = candidates[0]
-                nucleus.append(var)
-                remaining.remove(var)
-                f_nucleus = tester.nucleus_value(nucleus)
-                return True
-            half = len(candidates) // 2
-            left = absorb(candidates[:half])
-            right = absorb(candidates[half:])
-            return left or right
-
-        while remaining and len(nucleus) <= cap:
-            if not absorb(list(remaining)):
-                break
-
-        if len(nucleus) == 1:
-            separable.append(nucleus[0])
-        else:
-            merged_groups.append(sorted(nucleus))
-
-    return merged_groups, separable
-
-
 def _pack(indices: list[int]) -> list[np.ndarray]:
     """``indices`` in order, in groups of ``SEPARABLE_PACK``."""
     return [
@@ -158,18 +81,66 @@ def _pack(indices: list[int]) -> list[np.ndarray]:
 def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     """Recursive differential grouping with capped groups and packed separables.
 
-    A growing merged group is cut and emitted as soon as it exceeds
-    ``SIZE_CAP``, deliberately breaking long interaction chains so that
-    downstream subsolvers face bounded subproblem sizes.  Separable
-    variables are packed, in index order, into groups of ``SEPARABLE_PACK``.
-    With ``SIZE_CAP`` >= dimension and ``SEPARABLE_PACK`` = 1 this is plain
-    recursive differential grouping: merged groups closed under detected
-    interaction, and every separable variable on its own.
+    Each variable not yet grouped starts a nucleus, which absorbs every
+    variable found to interact with it by a bisection search over the rest.
+    The nucleus is moved to the upper bound face and candidate sets to the
+    box midpoint, so the two shifts never coincide and additively separable
+    contributions cancel exactly.  A growing merged group is cut and emitted
+    as soon as it exceeds ``SIZE_CAP``, deliberately breaking long
+    interaction chains so that downstream subsolvers face bounded subproblem
+    sizes.  Separable variables are packed, in index order, into groups of
+    ``SEPARABLE_PACK``.  With ``SIZE_CAP`` >= dimension and
+    ``SEPARABLE_PACK`` = 1 this is plain recursive differential grouping:
+    merged groups closed under detected interaction, and every separable
+    variable on its own.
     """
-    merged, separable = _recursive_grouping(objective, SIZE_CAP)
-    groups = [np.array(g, dtype=int) for g in merged]
-    groups.extend(_pack(separable))
-    return GroupingResult(groups)
+    bounds = objective.bounds
+    base = _lower_corner(objective)
+    mid = bounds.lower + 0.5 * bounds.width
+    f_base = objective.probe(base)
+    remaining = list(range(objective.dimension))
+    groups: list[np.ndarray] = []
+    separable: list[int] = []
+
+    def nucleus_value() -> float:
+        x = base.copy()
+        x[nucleus] = bounds.upper
+        return objective.probe(x)
+
+    def absorb(candidates: list[int]) -> bool:
+        """Bisection search absorbing every direct interactor found."""
+        nonlocal f_nucleus
+        if len(nucleus) > SIZE_CAP or not candidates:
+            return False
+        x2 = base.copy()
+        x2[candidates] = mid
+        x12 = x2.copy()
+        x12[nucleus] = bounds.upper
+        f2, f12 = objective.probe_batch(np.stack([x2, x12]))
+        _, hit = _interaction(f_base, f_nucleus, f2, f12, objective.dimension)
+        if not hit:
+            return False
+        if len(candidates) == 1:
+            nucleus.append(candidates[0])
+            remaining.remove(candidates[0])
+            f_nucleus = nucleus_value()
+            return True
+        half = len(candidates) // 2
+        left = absorb(candidates[:half])
+        right = absorb(candidates[half:])
+        return left or right
+
+    while remaining:
+        nucleus = [remaining.pop(0)]
+        f_nucleus = nucleus_value()
+        while remaining and len(nucleus) <= SIZE_CAP:
+            if not absorb(list(remaining)):
+                break
+        if len(nucleus) == 1:
+            separable.append(nucleus[0])
+        else:
+            groups.append(np.array(sorted(nucleus), dtype=int))
+    return GroupingResult(groups + _pack(separable))
 
 
 def _flat_pair(i, j, dim: int):

@@ -5,8 +5,8 @@ thresholds and correlation factors), the algorithms to run, trial counts,
 and the evaluation budget.  Every trial owns an independent random stream
 derived by hashing the base seed with the case id, algorithm name, and
 trial index, so results are reproducible run-to-run and independent of
-worker parallelism.  All floats are written with repr-faithful formatting
-to keep output files byte-identical across executions.
+worker parallelism.  All floats are written with 17 significant digits,
+which round-trip, to keep output files byte-identical across executions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .stats import friedman_ranks, paired_rank_tests
 
 
 def fmt(value: float) -> str:
-    """Shortest round-trip decimal form, stable across runs."""
+    """17 significant digits, which round-trip; stable across runs."""
     return "%.17g" % float(value)
 
 
@@ -136,6 +136,10 @@ class ExperimentConfig:
             sizes = tuple(sizes.items())
         if not isinstance(sizes, tuple):
             raise ValueError("population_sizes must map sensor counts to sizes")
+        unknown = {key for block in self.grid if isinstance(block, dict) for key in block}
+        unknown -= set(GridBlock._fields)
+        if unknown:
+            raise ValueError(f"unknown grid block keys: {sorted(unknown)}")
         grid = tuple(block if isinstance(block, GridBlock) else GridBlock(
             *(tuple(block[name]) for name in GridBlock._fields)) for block in self.grid)
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
@@ -158,8 +162,6 @@ class ExperimentConfig:
         for name, value in positive:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not grid:
-            raise ValueError("grid must contain at least one block")
         unknown = [a for a in self.algorithms if a not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; available: {sorted(SOLVERS)}")
@@ -167,7 +169,10 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must not repeat: {list(self.algorithms)}")
-        for case in self.cases():
+        cases = self.cases()
+        if not cases:
+            raise ValueError("grid has no cases")
+        for case in cases:
             population = self.population_size(case.sensors)
             if population is None:
                 raise ValueError(f"population size missing for {case.sensors} sensors"

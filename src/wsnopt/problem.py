@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, toeplitz
@@ -49,68 +50,44 @@ class WsnConfig:
     ----------
     num_sensors : int
         Number of sensors ``L`` (also the optimization dimension).
-    snr_db : float
-        Signal-to-noise ratio in dB; the squared signal amplitude is
-        ``10**(snr_db/10) * sigma_v2``.
     correlation : float
-        Exponential decay base of the inter-sensor noise correlation,
-        in ``[0, 1)``.  Zero means spatially white observation noise.
-    spacing : float
-        Inter-sensor distance multiplying the index gap in the
-        correlation exponent.
-    sigma_v2 : float
-        Observation noise variance at each sensor.
-    sigma_w2 : float
-        Receiver (channel) noise variance at the fusion center.
+        Noise correlation ``r`` of adjacent sensors, decaying as
+        ``r**|i - j|``, in ``[0, 1)``.  Zero means spatially white noise.
     epsilon : float
         Ceiling on the fusion error probability, in ``(0, 0.5)``.
     fading_seed : int
         Seed used when drawing the channel amplitudes for this instance.
+
+    The signal power and the observation (``sigma_v2``) and receiver
+    (``sigma_w2``) noise variances are class constants: the paper's 10 dB
+    SNR at unit noise.
     """
 
     num_sensors: int
-    snr_db: float = 10.0
     correlation: float = 0.0
-    spacing: float = 1.0
-    sigma_v2: float = 1.0
-    sigma_w2: float = 1.0
     epsilon: float = 0.1
     fading_seed: int = 0
+    signal_power: ClassVar[float] = 10.0
+    sigma_v2: ClassVar[float] = 1.0
+    sigma_w2: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        for name in ("snr_db", "spacing", "sigma_v2", "sigma_w2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.num_sensors < 1:
             raise ValueError("num_sensors must be at least 1")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must lie in [0, 1)")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.sigma_v2 <= 0.0 or self.sigma_w2 <= 0.0:
-            raise ValueError("noise variances must be positive")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
 
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
 
-    @property
-    def signal_power(self) -> float:
-        """Squared amplitude of the transmitted event signal."""
-        return self.snr_linear * self.sigma_v2
-
-
-def sample_fading(config: WsnConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_fading(config: WsnConfig) -> np.ndarray:
     """Draw the channel amplitude vector for one instance.
 
     Amplitudes are Rayleigh with unit mean and are returned sorted in
-    descending order, so sensor 0 always has the strongest channel.  With
-    ``rng=None`` the draw is a pure function of ``config.fading_seed``.
+    descending order, so sensor 0 always has the strongest channel.  The
+    draw is a pure function of ``config.fading_seed``.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.fading_seed)
+    rng = np.random.default_rng(config.fading_seed)
     h = rng.rayleigh(scale=RAYLEIGH_UNIT_MEAN_SCALE, size=config.num_sensors)
     return np.sort(h)[::-1].copy()
 
@@ -118,9 +95,9 @@ def sample_fading(config: WsnConfig, rng: np.random.Generator | None = None) -> 
 def build_signal_covariance(config: WsnConfig) -> np.ndarray:
     """Toeplitz covariance of the observation noise across sensors.
 
-    Entry ``(i, j)`` equals ``sigma_v2 * correlation**(spacing * |i - j|)``.
+    Entry ``(i, j)`` equals ``sigma_v2 * correlation**|i - j|``.
     """
-    lags = config.spacing * np.arange(config.num_sensors)
+    lags = np.arange(config.num_sensors, dtype=float)
     first_col = config.sigma_v2 * np.power(config.correlation, lags)
     return toeplitz(first_col)
 
@@ -257,7 +234,7 @@ class PowerAllocationProblem:
             return
         # The tridiagonal constants of ``deflections``.  ``dptsv`` overwrites
         # its inputs, so it is only ever handed fresh arrays built from these.
-        r = config.correlation**config.spacing
+        r = config.correlation
         c = 1.0 / (config.sigma_v2 * (1.0 - r * r))
         t_diag = np.full(L, 1.0 + r * r)
         t_diag[[0, -1]] = 1.0
@@ -276,7 +253,7 @@ class PowerAllocationProblem:
         """Squared deflection of each row of the gain stack ``G``, O(L) a row.
 
         White observation noise, and a single sensor, have a closed form.  For
-        correlated noise let ``r = correlation**spacing``: the noise covariance
+        correlated noise let ``r = correlation``: the noise covariance
         ``sigma_v2 * r**|i-j|`` has the inverse ``c*T`` with
         ``c = 1/(sigma_v2*(1 - r**2))`` and ``T`` tridiagonal, diagonal
         ``(1, 1+r**2, ..., 1+r**2, 1)`` and off-diagonal ``-r``.  With

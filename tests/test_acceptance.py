@@ -37,11 +37,7 @@ def power_case(sensors, epsilon, correlation=0.0):
     case_id = f"L{sensors}-rho{correlation:g}-eps{epsilon:g}"
     return WsnConfig(
         num_sensors=sensors,
-        snr_db=10.0,
         correlation=correlation,
-        spacing=1.0,
-        sigma_v2=1.0,
-        sigma_w2=1.0,
         epsilon=epsilon,
         fading_seed=derive_seed(BASE_SEED, case_id, "fading"),
     )
@@ -112,11 +108,7 @@ def test_analytic_error_probability_agrees_with_simulation():
         rho = correlations[k % 2]
         config = WsnConfig(
             num_sensors=sensors,
-            snr_db=10.0,
             correlation=rho,
-            spacing=1.0,
-            sigma_v2=1.0,
-            sigma_w2=1.0,
             epsilon=0.1,
             fading_seed=1000 + k,
         )

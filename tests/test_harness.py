@@ -446,12 +446,14 @@ class TestCli:
             ({"grid": [{"sensors": [8], "epsilon": [0.1, 0.1000001],
                         "rho": [0.5, 0.50000001]}]},
              "share the case id L8-rho0.5-eps0.1"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [0], "trials": [9]}]},
+             "unknown grid block keys: ['trials']"),
+            ({"grid": [{"sensors": [], "epsilon": [0.1], "rho": [0]}]}, "grid has no cases"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
-        self, tmp_path, capsys, monkeypatch, overrides, message
+        self, tmp_path, capsys, overrides, message
     ):
-        monkeypatch.delenv("WSNOPT_WORKERS", raising=False)
         path = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
@@ -464,29 +466,11 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "config error: config must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, env", [(["--workers", "0"], None), ([], "0")])
-    def test_run_rejects_non_positive_worker_count_before_output(
-        self, tmp_path, capsys, monkeypatch, flags, env
-    ):
+    def test_run_rejects_non_positive_worker_count_before_output(self, tmp_path, capsys):
         path = write_config(tmp_path)
-        if env is not None:
-            monkeypatch.setenv("WSNOPT_WORKERS", env)
-        assert main(["run", str(path), *flags]) == 2
+        assert main(["run", str(path), "--workers", "0"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
-
-    def test_run_workers_env_override(self, tmp_path, monkeypatch):
-        path = write_config(
-            tmp_path, name="env.json", output_dir=str(tmp_path / "envrun")
-        )
-        monkeypatch.setenv("WSNOPT_WORKERS", "2")
-        assert main(["run", str(path)]) == 0
-        reference = write_config(
-            tmp_path, name="ref.json", output_dir=str(tmp_path / "ref")
-        )
-        monkeypatch.delenv("WSNOPT_WORKERS")
-        assert main(["run", str(reference)]) == 0
-        assert hash_outputs(tmp_path / "envrun") == hash_outputs(tmp_path / "ref")
 
     def test_case_subcommand_writes_files(self, tmp_path, capsys):
         rc = main(

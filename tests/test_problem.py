@@ -1,5 +1,6 @@
 """Tests for the detection problem: covariances, error probability, penalty."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,13 +38,13 @@ def gaussian_tail_oracle(x: float) -> float:
 
 
 class TestConfig:
-    def test_signal_power_at_10db(self):
-        cfg = WsnConfig(num_sensors=3, snr_db=10.0, sigma_v2=1.0)
-        assert cfg.signal_power == pytest.approx(10.0)
+    def test_fields_are_what_a_case_varies(self):
+        names = [f.name for f in dataclasses.fields(WsnConfig)]
+        assert names == ["num_sensors", "correlation", "epsilon", "fading_seed"]
 
-    def test_signal_power_scales_with_observation_variance(self):
-        cfg = WsnConfig(num_sensors=3, snr_db=10.0, sigma_v2=2.0)
-        assert cfg.signal_power == pytest.approx(20.0)
+    def test_signal_power_at_10db(self):
+        cfg = WsnConfig(num_sensors=3)
+        assert cfg.signal_power == pytest.approx(10.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,29 +54,23 @@ class TestConfig:
             dict(num_sensors=2, correlation=-0.1),
             dict(num_sensors=2, epsilon=0.0),
             dict(num_sensors=2, epsilon=0.5),
-            dict(num_sensors=2, sigma_w2=0.0),
-            dict(num_sensors=2, spacing=0.0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             WsnConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["snr_db", "spacing", "sigma_v2", "sigma_w2"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_constants_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            WsnConfig(num_sensors=5, correlation=0.5, **{name: value})
-
 
 class TestSignalCovariance:
-    def test_two_sensor_hand_value(self):
-        cfg = WsnConfig(num_sensors=2, correlation=0.1, spacing=2.0, sigma_v2=4.0)
+    def test_two_sensor_hand_value(self, monkeypatch):
+        monkeypatch.setattr(WsnConfig, "sigma_v2", 4.0)
+        cfg = WsnConfig(num_sensors=2, correlation=0.01)
         cov = build_signal_covariance(cfg)
         np.testing.assert_allclose(cov, [[4.0, 0.04], [0.04, 4.0]], atol=1e-15)
 
-    def test_zero_correlation_gives_diagonal(self):
-        cfg = WsnConfig(num_sensors=5, correlation=0.0, sigma_v2=3.0)
+    def test_zero_correlation_gives_diagonal(self, monkeypatch):
+        monkeypatch.setattr(WsnConfig, "sigma_v2", 3.0)
+        cfg = WsnConfig(num_sensors=5, correlation=0.0)
         cov = build_signal_covariance(cfg)
         np.testing.assert_allclose(cov, 3.0 * np.eye(5))
 
@@ -87,7 +82,7 @@ class TestSignalCovariance:
             assert np.linalg.eigvalsh(cov).min() > 0.0
 
     def test_entries_decay_with_distance(self):
-        cfg = WsnConfig(num_sensors=6, correlation=0.5, spacing=1.0)
+        cfg = WsnConfig(num_sensors=6, correlation=0.5)
         cov = build_signal_covariance(cfg)
         assert cov[0, 1] == pytest.approx(0.5)
         assert cov[0, 3] == pytest.approx(0.125)
@@ -116,12 +111,13 @@ class TestFading:
 
 class TestEffectiveNoiseCovariance:
     def test_single_sensor_hand_value(self):
-        cfg = WsnConfig(num_sensors=1, sigma_v2=1.0, sigma_w2=1.0)
+        cfg = WsnConfig(num_sensors=1)
         cov = effective_noise_covariance(cfg, np.array([2.0]), np.array([1.0]))
         assert cov[0, 0] == pytest.approx(5.0)
 
-    def test_zero_gain_leaves_receiver_noise(self):
-        cfg = WsnConfig(num_sensors=4, correlation=0.4, sigma_w2=2.5)
+    def test_zero_gain_leaves_receiver_noise(self, monkeypatch):
+        monkeypatch.setattr(WsnConfig, "sigma_w2", 2.5)
+        cfg = WsnConfig(num_sensors=4, correlation=0.4)
         cov = effective_noise_covariance(cfg, np.ones(4), np.zeros(4))
         np.testing.assert_allclose(cov, 2.5 * np.eye(4))
 
@@ -155,7 +151,7 @@ class TestQFunction:
 
 class TestFusionErrorProbability:
     def test_single_sensor_hand_value(self):
-        cfg = WsnConfig(num_sensors=1, snr_db=10.0)
+        cfg = WsnConfig(num_sensors=1)
         pe = fusion_error_probability(cfg, np.array([1.0]), np.array([1.0]))
         # deflection = 10 * 1 / (1 + 1) = 5, so Pe = Q(0.5 * sqrt(5))
         assert pe == pytest.approx(gaussian_tail_oracle(0.5 * math.sqrt(5.0)), abs=1e-12)
@@ -166,19 +162,18 @@ class TestFusionErrorProbability:
         assert fusion_error_probability(cfg, h, np.zeros(8)) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
-        "spacing,sigma_v2,sigma_w2", [(1.0, 1.0, 1.0), (2.5, 3.0, 0.5)]
+        "exponent,sigma_v2,sigma_w2", [(1.0, 1.0, 1.0), (2.5, 3.0, 0.5)]
     )
     @pytest.mark.parametrize("ell", [1, 2, 17, 300, 800])
     @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.9, 0.99])
-    def test_default_and_matrix_paths_agree(self, rho, ell, spacing, sigma_v2, sigma_w2):
-        cfg = WsnConfig(
-            num_sensors=ell,
-            correlation=rho,
-            spacing=spacing,
-            sigma_v2=sigma_v2,
-            sigma_w2=sigma_w2,
-            fading_seed=ell,
-        )
+    def test_default_and_matrix_paths_agree(
+        self, monkeypatch, rho, ell, exponent, sigma_v2, sigma_w2
+    ):
+        # Unequal noise variances, so a swapped sigma_v2/sigma_w2 in the
+        # kernel shows.
+        monkeypatch.setattr(WsnConfig, "sigma_v2", sigma_v2)
+        monkeypatch.setattr(WsnConfig, "sigma_w2", sigma_w2)
+        cfg = WsnConfig(num_sensors=ell, correlation=rho**exponent, fading_seed=ell)
         h = sample_fading(cfg)
         rng = np.random.default_rng(5)
         G = np.vstack(
@@ -283,7 +278,7 @@ class TestFusionErrorProbability:
 
     def test_crafted_gain_hits_target_error(self):
         # Invert the single-sensor closed form to land exactly on Pe = 0.2.
-        cfg = WsnConfig(num_sensors=1, snr_db=10.0)
+        cfg = WsnConfig(num_sensors=1)
         target_s = (2.0 * 0.8416212335729143) ** 2  # 2 * Q^{-1}(0.2)
         g2 = target_s / (cfg.signal_power - target_s)
         pe = fusion_error_probability(cfg, np.array([1.0]), np.array([math.sqrt(g2)]))
