@@ -72,7 +72,7 @@ def cmd_run(args) -> int:
         config = ExperimentConfig.from_json(args.config)
         if args.workers is not None:
             config = replace(config, workers=args.workers)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     result = run_experiment(config)

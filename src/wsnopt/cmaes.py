@@ -72,8 +72,6 @@ class CmaesSubsolver:
 
     def step(self, rng: np.random.Generator) -> None:
         n_cand = min(self.lam, self.view.remaining)
-        if n_cand <= 0:
-            return
         z = rng.standard_normal((n_cand, self.n))
         steps = z @ self.factor.T
         candidates = reflect_into_bounds(self.mean[None, :] + self.sigma * steps,

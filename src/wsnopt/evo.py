@@ -111,20 +111,14 @@ class TrackedObjective:
         return self.best_x if self.best_feasible else None
 
     def _record(self, X: np.ndarray, values: np.ndarray, feasible, start: int):
+        # A row can take over only if it beats the batch's starting best; the
+        # loop applies the rule to those in order.
         if len(values) == 1:
             rows = (0,)
+        elif self.best_feasible:
+            rows = np.flatnonzero(feasible & (values < self.best_f))
         else:
-            # A row can take over only if it beats the best and no earlier row
-            # of its class in the batch is lower; the loop applies those in
-            # order.
-            if self.best_feasible:
-                better = feasible & (values < self.best_f)
-            else:
-                better = feasible | (values < self.best_f)
-            if np.count_nonzero(better) > 1:
-                by_class = np.where([feasible, ~feasible], values, np.nan)
-                better &= (by_class <= np.fmin.accumulate(by_class, axis=1)).any(axis=0)
-            rows = np.flatnonzero(better)
+            rows = np.flatnonzero(feasible | (values < self.best_f))
         for k in rows:
             if feasible[k] > self.best_feasible or (
                 feasible[k] == self.best_feasible and values[k] < self.best_f

@@ -110,7 +110,7 @@ def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     def absorb(candidates: list[int]) -> bool:
         """Bisection search absorbing every direct interactor found."""
         nonlocal f_nucleus
-        if len(nucleus) > SIZE_CAP or not candidates:
+        if len(nucleus) > SIZE_CAP:
             return False
         x2 = base.copy()
         x2[candidates] = mid
@@ -269,8 +269,6 @@ def dgsc_group(objective: TrackedObjective, rng: np.random.Generator) -> Groupin
         else:
             _, labels = kmeans2(embedding, k_eff, minit="++", seed=rng)
         for label in np.unique(labels):
-            members = connected[labels == label]
-            if members.size:
-                groups.append(np.sort(members))
+            groups.append(np.sort(connected[labels == label]))
     groups.extend(_pack(isolated.tolist()))
     return GroupingResult(groups)

@@ -27,6 +27,9 @@ from .problem import PowerAllocationProblem, WsnConfig
 from .solvers import MIN_POPULATION, SOLVERS, solve
 from .stats import friedman_ranks, paired_rank_tests
 
+# Evaluations between the checkpoints of the convergence traces.
+TRACE_STEP = 500
+
 
 def fmt(value: float) -> str:
     """17 significant digits, which round-trip; stable across runs."""
@@ -111,7 +114,6 @@ class ExperimentConfig:
     base_seed: int
     output_dir: str
     workers: int = 1
-    trace_step: int = 500
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -136,14 +138,13 @@ class ExperimentConfig:
             sizes = tuple(sizes.items())
         if not isinstance(sizes, tuple):
             raise ValueError("population_sizes must map sensor counts to sizes")
-        unknown = {key for block in self.grid if isinstance(block, dict) for key in block}
-        unknown -= set(GridBlock._fields)
-        if unknown:
-            raise ValueError(f"unknown grid block keys: {sorted(unknown)}")
-        grid = tuple(block if isinstance(block, GridBlock) else GridBlock(
-            *(tuple(block[name]) for name in GridBlock._fields)) for block in self.grid)
+        for name in ("grid", "algorithms"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{name} must be a non-empty list")
+        grid = tuple(_grid_block(i, block) for i, block in enumerate(self.grid))
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
-                    ("trace_step", self.trace_step), ("workers", self.workers)]
+                    ("workers", self.workers)]
         positive += [(f"population size for {k} sensors", v) for k, v in sizes]
         counts = positive + [("base_seed", self.base_seed)]
         counts += [("sensor count", n) for n, _ in sizes]
@@ -165,14 +166,9 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; available: {sorted(SOLVERS)}")
-        if not self.algorithms:
-            raise ValueError("at least one algorithm is required")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must not repeat: {list(self.algorithms)}")
-        cases = self.cases()
-        if not cases:
-            raise ValueError("grid has no cases")
-        for case in cases:
+        for case in self.cases():
             population = self.population_size(case.sensors)
             if population is None:
                 raise ValueError(f"population size missing for {case.sensors} sensors"
@@ -209,6 +205,23 @@ class ExperimentConfig:
             epsilon=case.epsilon,
             fading_seed=derive_seed(self.base_seed, case.case_id, "fading"),
         )
+
+
+def _grid_block(index: int, block) -> GridBlock:
+    """``block`` checked: a ``GridBlock`` of non-empty tuples, or an object
+    with exactly its keys, each mapped to a non-empty list."""
+    kind, values = tuple, block
+    if not isinstance(block, GridBlock):
+        if not isinstance(block, dict):
+            raise ValueError(f"grid block {index} must be an object")
+        unknown = set(block) - set(GridBlock._fields)
+        if unknown:
+            raise ValueError(f"unknown grid block keys: {sorted(unknown)} in block {index}")
+        kind, values = list, [block.get(name) for name in GridBlock._fields]
+    for name, value in zip(GridBlock._fields, values):
+        if not isinstance(value, kind) or not value:
+            raise ValueError(f"grid block {index}: {name} must be a non-empty list")
+    return GridBlock(*map(tuple, values))
 
 
 def run_trial(
@@ -373,19 +386,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None):
 
 def _collect(config: ExperimentConfig, cases, root: Path, outcomes) -> dict:
     """Stream trial records in order, flushing files as cells complete."""
-    checkpoints = np.arange(
-        config.trace_step, config.max_evals + 1, config.trace_step
-    )
+    checkpoints = np.arange(TRACE_STEP, config.max_evals + 1, TRACE_STEP)
     cells = {}
-    buffer = []
-    case_traces = {}
-    outcome_iter = iter(outcomes)
+    outcomes = iter(outcomes)
     for case in cases:
-        case_traces.clear()
+        case_traces = {}
         for algo in config.algorithms:
-            buffer.clear()
-            for _ in range(config.trials):
-                buffer.append(next(outcome_iter))
+            buffer = [next(outcomes) for _ in range(config.trials)]
             write_cell_files(root / case.case_id / algo, buffer)
             values = np.array([r.best_f for r in buffer])
             cells[(case.case_id, algo)] = CellStats(

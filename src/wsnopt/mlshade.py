@@ -61,11 +61,9 @@ def random_dimension_grouping(
 ) -> list[np.ndarray]:
     """Random partition of the coordinates into near-equal groups.
 
-    Group sizes differ by at most one.  Membership is drawn fresh from the
-    permutation, so repeated calls decorrelate the coordinate blocks.
+    ``1 <= n_groups <= dimension``; group sizes differ by at most one.  Each
+    call draws a fresh permutation, so repeated calls decorrelate the blocks.
     """
-    if not 1 <= n_groups <= dimension:
-        raise ValueError("n_groups must be between 1 and the dimension")
     return list(np.array_split(rng.permutation(dimension), n_groups))
 
 
@@ -144,8 +142,6 @@ def shrink_population(
     positions: np.ndarray, fitness: np.ndarray, target: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the worst members until only ``target`` remain (best preserved)."""
-    if target >= len(positions):
-        return positions, fitness
     keep = np.argsort(fitness, kind="stable")[:target]
     keep.sort()
     return positions[keep], fitness[keep]
@@ -170,8 +166,6 @@ class SuccessHistory:
         f_values = np.asarray(f_values, dtype=float)
         cr_values = np.asarray(cr_values, dtype=float)
         improvements = np.asarray(improvements, dtype=float)
-        if f_values.size == 0:
-            return
         total = improvements.sum()
         if total <= 0.0:
             return
@@ -277,8 +271,8 @@ def mlshade_spa(objective: TrackedObjective, rng: np.random.Generator) -> Tracke
 
     The population starts at the tracker's size.  Each cycle mutates the
     coordinates in random groups of about ``GROUP_SIZE_TARGET``; each
-    strategy runs as many whole generations as its quota and the budget
-    allow, and the line search spends what is left of the cycle.
+    strategy runs as many whole generations as its quota allows (the quotas
+    split a cycle the budget covers), and the line search spends the rest.
     """
     if objective.population_size < MIN_POPULATION:
         raise ValueError(f"population_size must be at least {MIN_POPULATION}")
@@ -307,7 +301,7 @@ def mlshade_spa(objective: TrackedObjective, rng: np.random.Generator) -> Tracke
         cycle_end = objective.evals_used + cycle_quota
 
         for s, (strategy, state) in enumerate(strategies):
-            generations = min(quotas[s], objective.remaining) // n_pop
+            generations = quotas[s] // n_pop
             gained = 0.0
             for g in range(generations):
                 group = partition[g % len(partition)]

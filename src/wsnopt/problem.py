@@ -274,9 +274,9 @@ class PowerAllocationProblem:
         s = np.empty(rows)
         for start in range(0, rows, self._chunk):
             g = G[start : start + self._chunk]
-            if not self._white and not np.isfinite(g).all():
-                # A non-finite gain would leak through the zero couplings into
-                # the later rows of its chunk.
+            if not np.isfinite(g).all():
+                # A non-finite gain would score as a feasible NaN or inf, or
+                # leak through a correlated chunk's zero couplings.
                 raise ValueError("gains must be finite")
             u = (g * self.fading) ** 2
             m = len(u)

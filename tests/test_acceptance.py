@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from wsnopt import eade as eade_module
-from wsnopt import grouping
+from wsnopt import grouping, harness
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.grouping import dgsc_group, rdg3_group
 from wsnopt.harness import ExperimentConfig, derive_seed, run_experiment
@@ -262,7 +262,8 @@ def test_decomposition_recovers_known_interaction_structure(monkeypatch):
     assert recovered == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
 
 
-def test_experiment_reruns_are_byte_identical(tmp_path):
+def test_experiment_reruns_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "TRACE_STEP", 100)
     raw = {
         "grid": [{"sensors": [8], "epsilon": [0.1], "rho": [0.0, 0.5]}],
         "algorithms": ["eade", "mlshade-spa"],
@@ -270,7 +271,6 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
         "max_evals": 500,
         "population_sizes": {"8": 20},
         "base_seed": 13,
-        "trace_step": 100,
     }
 
     def execute(tag, workers):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsnopt import harness
 from wsnopt.cli import main
 from wsnopt.harness import (
     CaseSpec,
@@ -33,12 +34,17 @@ def write_config(tmp_path, name="config.json", **overrides):
         "population_sizes": {"8": 20},
         "base_seed": 7,
         "output_dir": str(tmp_path / "run"),
-        "trace_step": 100,
     }
     raw.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+@pytest.fixture(autouse=True)
+def trace_every_100(monkeypatch):
+    # Short budgets still sample several trace checkpoints.
+    monkeypatch.setattr(harness, "TRACE_STEP", 100)
 
 
 def hash_outputs(output_dir):
@@ -282,7 +288,9 @@ def experiment(tmp_path_factory):
         algorithms=["eade", "mlshade-spa"],
     )
     config = ExperimentConfig.from_json(path)
-    result = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "TRACE_STEP", 100)
+        result = run_experiment(config)
     return config, result
 
 
@@ -341,11 +349,9 @@ class TestOutputs:
         root = Path(config.output_dir) / "results"
         lines = (root / "traces" / "L8-rho0-eps0.1.csv").read_text().splitlines()
         assert lines[0] == "eval,eade,mlshade-spa"
-        assert len(lines) == 1 + config.max_evals // config.trace_step
+        assert len(lines) == 1 + config.max_evals // 100
         evals = [int(line.split(",")[0]) for line in lines[1:]]
-        assert evals == list(
-            range(config.trace_step, config.max_evals + 1, config.trace_step)
-        )
+        assert evals == list(range(100, config.max_evals + 1, 100))
         for name_idx in (1, 2):
             series = [float(line.split(",")[name_idx]) for line in lines[1:]]
             assert all(b <= a for a, b in zip(series, series[1:]))
@@ -362,7 +368,6 @@ def test_trace_ends_at_summary_mean(tmp_path):
         max_evals=2000,
         population_sizes={"8": 20, "20": 20},
         base_seed=11,
-        trace_step=500,
     )
     assert main(["run", str(path)]) == 0
     root = tmp_path / "run" / "results"
@@ -415,12 +420,15 @@ class TestCli:
         "overrides, message",
         [
             ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [1.0]}]}, "correlation"),
-            ({"trace_step": 0}, "trace_step"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [0]},
+                       {"sensors": [], "epsilon": [0.1], "rho": [0]}]},
+             "grid block 1: sensors must be a non-empty list"),
             ({"population_sizes": {"8": 9}}, "eade needs a population"),
             ({"trials": 2.5}, "trials must be an integer"),
             ({"trials": True}, "trials must be an integer"),
             ({"max_evals": 100.5}, "max_evals must be an integer"),
-            ({"trace_step": "100"}, "trace_step must be an integer"),
+            ({"grid": [{"sensors": [8], "epsilon": [0.1]}]},
+             "grid block 0: rho must be a non-empty list"),
             ({"workers": "2"}, "workers must be an integer"),
             ({"base_seed": 7.0}, "base_seed must be an integer"),
             ({"population_sizes": [10]}, "population_sizes must map"),
@@ -448,7 +456,18 @@ class TestCli:
              "share the case id L8-rho0.5-eps0.1"),
             ({"grid": [{"sensors": [8], "epsilon": [0.1], "rho": [0], "trials": [9]}]},
              "unknown grid block keys: ['trials']"),
-            ({"grid": [{"sensors": [], "epsilon": [0.1], "rho": [0]}]}, "grid has no cases"),
+            ({"grid": [{"sensors": [], "epsilon": [0.1], "rho": [0]}]},
+             "grid block 0: sensors must be a non-empty list"),
+            ({"grid": [{"sensors": 8, "epsilon": [0.1], "rho": [0]}]},
+             "grid block 0: sensors must be a non-empty list"),
+            ({"grid": [{"sensors": [8], "epsilon": "0.1", "rho": [0]}]},
+             "grid block 0: epsilon must be a non-empty list"),
+            ({"grid": [[8], [0.1], [0]]}, "grid block 0 must be an object"),
+            ({"grid": {"sensors": [8], "epsilon": [0.1], "rho": [0]}},
+             "grid must be a non-empty list"),
+            ({"grid": []}, "grid must be a non-empty list"),
+            ({"algorithms": "eade"}, "algorithms must be a non-empty list"),
+            ({"algorithms": []}, "algorithms must be a non-empty list"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(

@@ -54,11 +54,6 @@ class TestRandomDimensionGrouping:
         b = random_dimension_grouping(30, 3, np.random.default_rng(2))
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
-    @pytest.mark.parametrize("k", [0, 11])
-    def test_invalid_group_count(self, k):
-        with pytest.raises(ValueError):
-            random_dimension_grouping(10, k, np.random.default_rng(0))
-
 
 class TestMmtsLocalSearch:
     def test_descends_on_sphere(self):

@@ -259,6 +259,17 @@ class TestFusionErrorProbability:
         with pytest.raises(ValueError):
             PowerAllocationProblem(cfg, np.ones(4)).error_probabilities(G)
 
+    @pytest.mark.parametrize("rho, sensors", [(0.0, 4), (0.5, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gains_rejected_by_the_closed_form(self, rho, sensors, bad):
+        # White noise, and a single sensor, take the closed form, which would
+        # score the row as a feasible NaN or inf.
+        cfg = WsnConfig(num_sensors=sensors, correlation=rho)
+        G = np.ones((3, sensors))
+        G[1, -1] = bad
+        with pytest.raises(ValueError, match="gains must be finite"):
+            PowerAllocationProblem(cfg, np.ones(sensors)).evaluate_rows(G, np.ones(3))
+
     def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)
         for method in ("diagonal", "bogus"):
