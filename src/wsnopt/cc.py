@@ -45,7 +45,7 @@ class SubproblemView:
         return self.objective.remaining
 
     def current(self) -> np.ndarray:
-        return self.context.values[self.indices].copy()
+        return self.context.values[self.indices]
 
     def evaluate_batch(self, sub_points: np.ndarray) -> np.ndarray:
         """Evaluate sub-vectors spliced into the context and commit the best.

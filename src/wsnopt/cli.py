@@ -116,10 +116,10 @@ def cmd_stats(args) -> int:
     try:
         with open(args.table, "r", encoding="utf-8") as handle:
             _, names, data = read_table(handle)
+        ranks = friedman_ranks(data)
     except (OSError, ValueError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
         return 2
-    ranks = friedman_ranks(data)
     print(f"{len(data)} cases, {len(names)} algorithms")
     print("algorithm          avg_rank  normalized  order")
     for j, name in enumerate(names):
@@ -127,9 +127,8 @@ def cmd_stats(args) -> int:
             f"{name:<18s} {ranks.average_ranks[j]:8.4f}  {ranks.normalized[j]:10.4f}"
             f"  {ranks.order[j]:5d}"
         )
-    baseline = int(np.argmin(ranks.average_ranks))
     try:
-        tests = paired_rank_tests(data, baseline)
+        baseline, tests = paired_rank_tests(ranks)
     except ValueError as exc:
         print(f"pairwise tests skipped: {exc}")
         return 0

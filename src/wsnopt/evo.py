@@ -131,8 +131,6 @@ class TrackedObjective:
     def _evaluate(self, X: np.ndarray, pinned: bool) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = len(X)
-        if n == 0:
-            return np.empty(0)
         if n > self.remaining:
             raise BudgetExhausted(
                 f"requested {n} evaluations with only {self.remaining} remaining"

@@ -126,6 +126,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         sizes = raw.get("population_sizes")
         if isinstance(sizes, dict):
+            bad = [k for k in sizes if not k.strip().isdecimal()]
+            if bad:
+                raise ValueError(f"population_sizes keys must be decimal integers, not {bad}")
             raw["population_sizes"] = {int(k): v for k, v in sizes.items()}
             if len(raw["population_sizes"]) < len(sizes):
                 raise ValueError(
@@ -330,9 +333,8 @@ def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
          for j, algo in enumerate(algorithms)),
     )
 
-    baseline = int(np.argmin(ranks.average_ranks))
     try:
-        tests = paired_rank_tests(means, baseline)
+        baseline, tests = paired_rank_tests(ranks)
     except ValueError:
         return
     rows = [["algorithm", "p_value", "statistic", "n", "exact"]]

@@ -208,7 +208,7 @@ def staged_penalty(violations: np.ndarray) -> np.ndarray:
     if not v.any():
         return np.zeros(v.shape)
     weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, 300.0))
-    return np.where(v > 0.0, weights * np.where(v < 1.0, v, v * v), 0.0)
+    return weights * np.where(v < 1.0, v, v * v)
 
 
 class PowerAllocationProblem:

@@ -37,7 +37,7 @@ def weighted_crossover_mean(cr_values, improvements) -> float:
     cr_values = np.asarray(cr_values, dtype=float)
     improvements = np.asarray(improvements, dtype=float)
     total = improvements.sum()
-    if cr_values.size == 0 or total <= 0.0:
+    if total <= 0.0:
         return 0.5
     return float(np.sum(cr_values * improvements) / total)
 

@@ -3,7 +3,7 @@
 A result matrix holds one row per case and one column per algorithm, each
 entry being that algorithm's mean best objective on the case.  Friedman
 average ranks summarize the ordering; paired signed-rank tests compare
-algorithms against a chosen baseline.  The pairwise tests run on the
+algorithms against the best-ranked one.  The pairwise tests run on the
 per-case ranks rather than raw values, which keeps wildly different
 objective scales across cases from swamping the pairing.
 """
@@ -53,22 +53,18 @@ def _mean_ranks(values: np.ndarray) -> np.ndarray:
     return less + 0.5 * (ties + 1)
 
 
-def _validated_matrix(matrix) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
-        raise ValueError("need a matrix with at least 2 rows and 2 columns")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    return matrix
-
-
 def friedman_ranks(matrix) -> FriedmanResult:
     """Row-wise ascending ranks (mean ties), averaged over the rows.
 
     ``normalized`` divides by the best average rank and ``order`` gives
-    the ordinal placement of each column (1 = best).
+    the ordinal placement of each column (1 = best).  This is the one check
+    of a result table's shape (at least 2x2) and finiteness.
     """
-    matrix = _validated_matrix(matrix)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
+        raise ValueError("need a matrix with at least 2 rows and 2 columns")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("table entries must be finite")
     row_ranks = _mean_ranks(matrix)
     average = row_ranks.mean(axis=0)
     order = np.empty(len(average), dtype=int)
@@ -134,42 +130,43 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     return WilcoxonResult(p, statistic, n, exact=False)
 
 
-def paired_rank_tests(matrix, baseline_column: int) -> dict[int, WilcoxonResult]:
-    """Signed-rank tests of every column against a baseline, on case ranks.
+def paired_rank_tests(ranks: FriedmanResult) -> tuple[int, dict[int, WilcoxonResult]]:
+    """``(baseline, tests)``: signed-rank tests of every column against the
+    best-ranked one, on case ranks.
 
-    Each case row is converted to ranks first (the row ranks of
-    ``friedman_ranks``), then each non-baseline column's rank series is
-    paired with the baseline's.
+    The baseline is the column with the lowest average rank (the first, on a
+    tie).  Each other column's row ranks are paired with the baseline's.
     """
-    row_ranks = friedman_ranks(matrix).row_ranks
-    if not 0 <= baseline_column < row_ranks.shape[1]:
-        raise ValueError("baseline column out of range")
-    return {
-        col: wilcoxon_signed_rank(row_ranks[:, col], row_ranks[:, baseline_column])
+    baseline = int(np.argmin(ranks.average_ranks))
+    row_ranks = ranks.row_ranks
+    return baseline, {
+        col: wilcoxon_signed_rank(row_ranks[:, col], row_ranks[:, baseline])
         for col in range(row_ranks.shape[1])
-        if col != baseline_column
+        if col != baseline
     }
 
 
 def read_table(lines):
     """(case ids, algorithm names, matrix) from the lines of a case-by-algorithm CSV.
 
-    Blank lines and descriptive columns are skipped; case ids are the first
-    column's cells.  The matrix is at least 2x2 and finite.
+    Blank lines are skipped.  The first column holds the case ids, whatever
+    its header; the other descriptive columns are skipped and the rest are
+    algorithms.  Case ids and algorithm names must not repeat.  The matrix's
+    shape and finiteness are left to ``friedman_ranks``.
     """
     rows = [line.strip().split(",") for line in lines if line.strip()]
-    if len(rows) < 3:
-        raise ValueError("need a header row and at least two data rows")
+    if not rows:
+        raise ValueError("need a header row")
     header, body = rows[0], rows[1:]
     if any(len(row) != len(header) for row in body):
         raise ValueError(f"every row needs {len(header)} cells, one per header column")
-    columns = [j for j, name in enumerate(header) if name not in DESCRIPTIVE_COLUMNS]
-    if len(columns) < 2:
-        raise ValueError("need at least two algorithm columns")
-    data = np.array([[float(row[j]) for j in columns] for row in body])
-    if not np.isfinite(data).all():
-        raise ValueError("table entries must be finite")
-    return [row[0] for row in body], [header[j] for j in columns], data
+    columns = [j for j, name in enumerate(header) if j and name not in DESCRIPTIVE_COLUMNS]
+    cases, names = [row[0] for row in body], [header[j] for j in columns]
+    for kind, values in (("case ids", cases), ("algorithm names", names)):
+        repeats = sorted({v for v in values if values.count(v) > 1})
+        if repeats:
+            raise ValueError(f"{kind} must not repeat: {repeats}")
+    return cases, names, np.array([[float(row[j]) for j in columns] for row in body])
 
 
 def load_reference_table():

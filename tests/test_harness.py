@@ -468,6 +468,8 @@ class TestCli:
             ({"grid": []}, "grid must be a non-empty list"),
             ({"algorithms": "eade"}, "algorithms must be a non-empty list"),
             ({"algorithms": []}, "algorithms must be a non-empty list"),
+            ({"population_sizes": {"8.0": 20}},
+             "population_sizes keys must be decimal integers, not ['8.0']"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
@@ -611,6 +613,45 @@ class TestCli:
         table.write_text("case,a,b\nc1,1.0,2.0\nc2,nan,3.0\nc3,4.0,5.0\n")
         assert main(["stats", str(table)]) == 2
         assert "table error: table entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("case,eade,eade,x\nc1,1,2,3\nc2,3,2,1\n",
+             "table error: algorithm names must not repeat: ['eade']"),
+            ("case,a,b\nc1,1,2\nc2,2,1\nc1,1,2\nc3,1,2\nc2,2,1\n",
+             "table error: case ids must not repeat: ['c1', 'c2']"),
+        ],
+    )
+    def test_stats_rejects_repeated_names(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert main(["stats", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_stats_on_a_grid_summary_agrees_with_its_rank_report(self, tmp_path, capsys):
+        grid = [{"sensors": [8], "epsilon": [0.1, 0.05, 0.01], "rho": [0.0, 0.5]}]
+        path = write_config(tmp_path, grid=grid, trials=1, max_evals=200,
+                            algorithms=["eade", "cbcc-rdg3", "dgsc-decc"])
+        assert main(["run", str(path)]) == 0
+        root = tmp_path / "run" / "results"
+        capsys.readouterr()
+        assert main(["stats", str(root / "summary.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "6 cases, 3 algorithms"
+        with open(root / "ranks.csv", newline="", encoding="utf-8") as handle:
+            ranks = list(csv.DictReader(handle))
+        for line, rank in zip(lines[2:5], ranks):
+            assert line.split() == [rank["algorithm"], f"{float(rank['average_rank']):.4f}",
+                                    f"{float(rank['normalized']):.4f}", rank["order"]]
+        pairwise = (root / "pairwise.csv").read_text().splitlines()
+        baseline = pairwise[0].split(",")[1]
+        assert baseline == min(ranks, key=lambda r: float(r["average_rank"]))["algorithm"]
+        assert lines[5] == f"pairwise signed-rank tests vs {baseline} (rank-transformed):"
+        printed = [line.split()[0] for line in lines[6:]]
+        assert printed == [row.split(",")[0] for row in pairwise[2:]]
 
     def test_validate_subcommand_passes(self, capsys):
         rc = main(["validate", "--samples", "20000", "--configs", "4", "--seed", "1"])

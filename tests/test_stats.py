@@ -15,6 +15,7 @@ from wsnopt.stats import (
     friedman_ranks,
     load_reference_table,
     paired_rank_tests,
+    read_table,
     wilcoxon_signed_rank,
 )
 
@@ -200,15 +201,29 @@ class TestReferenceTable:
 
     def test_rank_paired_tests_against_best_algorithm(self):
         _, algorithms, matrix = load_reference_table()
-        baseline = algorithms.index("cbcc-rdg3")
-        results = paired_rank_tests(matrix, baseline)
+        baseline, results = paired_rank_tests(friedman_ranks(matrix))
+        assert baseline == algorithms.index("cbcc-rdg3")
         assert set(results) == {0, 1, 3}
         assert all(r.p_value <= 0.05 for r in results.values())
         assert results[0].p_value == pytest.approx(0.035648561930467546, rel=1e-9)
         assert results[1].p_value == pytest.approx(4.2637062678318534e-05, rel=1e-9)
         assert results[3].p_value == pytest.approx(7.65374093920025e-06, rel=1e-9)
 
-    def test_baseline_out_of_range(self):
-        _, _, matrix = load_reference_table()
-        with pytest.raises(ValueError):
-            paired_rank_tests(matrix, 7)
+    def test_baseline_is_first_of_tied_best_columns(self):
+        baseline, results = paired_rank_tests(friedman_ranks([[1.0, 1.0, 2.0]] * 5))
+        assert baseline == 0
+        assert set(results) == {1, 2}
+        assert results[1].n_used == 0 and results[1].p_value == 1.0
+        assert results[2].n_used == 5
+
+
+class TestReadTable:
+    def test_first_column_holds_case_ids_whatever_its_header(self):
+        cases, names, matrix = read_table(["id,a,b", "c1,1.0,2.0", "c2,4.0,3.0"])
+        assert cases == ["c1", "c2"]
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [4.0, 3.0]])
+
+    def test_shape_and_finiteness_left_to_friedman_ranks(self):
+        _, _, matrix = read_table(["case,a,b", "c1,1.0,nan"])
+        assert matrix.shape == (1, 2)
