@@ -75,9 +75,9 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(config)
+    run_experiment(config)
     root = Path(config.output_dir) / "results"
-    print(f"wrote {len(result.cases)} cases x {len(result.algorithms)} algorithms")
+    print(f"wrote {len(config.cases())} cases x {len(config.algorithms)} algorithms")
     print(f"summary: {root / 'summary.csv'}")
     return 0
 
@@ -146,6 +146,9 @@ def cmd_validate(args) -> int:
         return 2
     if args.configs < 1:
         print("--configs must be at least 1", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     sensor_counts = [1, 5, 50]

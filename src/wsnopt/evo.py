@@ -42,7 +42,8 @@ class FunctionProblem:
     ``fn`` maps one position to a float; ``batch_fn``, when given, maps an
     ``(N, D)`` stack to a length-``N`` vector and is preferred for speed.
     The penalty iteration is accepted and ignored, so static test functions
-    and the dynamic sensor-network objective share one interface.
+    and the dynamic sensor-network objective share one interface; no row is
+    feasible, and each row's value is also its power.
     """
 
     def __init__(self, fn, dimension: int, bounds: Bounds, batch_fn=None):
@@ -57,7 +58,7 @@ class FunctionProblem:
             values = np.asarray(self.batch_fn(X), dtype=float)
         else:
             values = np.array([self.fn(row) for row in X], dtype=float)
-        return values, np.zeros(len(values), dtype=bool), None
+        return values, np.zeros(len(values), dtype=bool), values
 
 
 class TrackedObjective:
@@ -73,11 +74,11 @@ class TrackedObjective:
     when it runs.  Solvers only read these fields, and every solver returns
     the tracker itself as its result.
 
-    The one best-so-far (``best_x``, ``best_f``, ``best_feasible``) follows
-    Deb's feasibility rules: a feasible row beats any infeasible one, and
-    within a class the lower value wins.  A feasible best's ``best_f`` is its
-    power, and ``improvements`` holds ``(evaluation, best_f)`` at every change
-    of it.
+    The one best-so-far (``best_x``, ``best_f``, ``best_feasible`` and
+    ``best_power``, the power of ``best_x``) follows Deb's feasibility rules:
+    a feasible row beats any infeasible one, and within a class the lower
+    value wins.  A feasible best's ``best_f`` is its ``best_power``, and
+    ``improvements`` holds ``(evaluation, best_f)`` at every change of it.
     """
 
     def __init__(self, problem, max_evals: int, population_size: int = 1):
@@ -92,6 +93,7 @@ class TrackedObjective:
         self.best_x: np.ndarray | None = None
         self.best_f = np.inf
         self.best_feasible = False
+        self.best_power = np.inf
         self.improvements: list[tuple[int, float]] = []
 
     @property
@@ -110,7 +112,7 @@ class TrackedObjective:
     def best_feasible_x(self) -> np.ndarray | None:
         return self.best_x if self.best_feasible else None
 
-    def _record(self, X: np.ndarray, values: np.ndarray, feasible, start: int):
+    def _record(self, X: np.ndarray, values: np.ndarray, feasible, powers, start: int):
         # A row can take over only if it beats the batch's starting best; the
         # loop applies the rule to those in order.
         if len(values) == 1:
@@ -126,6 +128,7 @@ class TrackedObjective:
                 self.best_f = float(values[k])
                 self.best_x = X[k].copy()
                 self.best_feasible = bool(feasible[k])
+                self.best_power = float(powers[k])
                 self.improvements.append((start + k + 1, self.best_f))
 
     def _evaluate(self, X: np.ndarray, pinned: bool) -> np.ndarray:
@@ -143,8 +146,8 @@ class TrackedObjective:
             iterations = np.array([-(-(start + 1) // self.population_size)], dtype=float)
         else:
             iterations = np.ceil((start + 1 + np.arange(n)) / self.population_size)
-        values, feasible, _ = self.problem.batch(X, iterations)
-        self._record(X, values, feasible, start)
+        values, feasible, powers = self.problem.batch(X, iterations)
+        self._record(X, values, feasible, powers, start)
         return values
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:

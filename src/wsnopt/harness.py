@@ -70,25 +70,6 @@ class TrialRecord:
     trace: list
 
 
-@dataclass
-class CellStats:
-    """Aggregates for one case and algorithm over its trials."""
-
-    mean: float
-    median: float
-    std: float
-    minimum: float
-    feasible_rate: float
-
-
-@dataclass
-class ExperimentResult:
-    cases: list
-    algorithms: list
-    means: np.ndarray
-    cells: dict
-
-
 class GridBlock(NamedTuple):
     """One block of the grid: every sensor count crossed with every factor."""
 
@@ -145,6 +126,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not value:
                 raise ValueError(f"{name} must be a non-empty list")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, not {self.output_dir!r}")
         grid = tuple(_grid_block(i, block) for i, block in enumerate(self.grid))
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
                     ("workers", self.workers)]
@@ -236,9 +219,6 @@ def run_trial(
     objective = TrackedObjective(problem, config.max_evals, population)
     seed = derive_seed(config.base_seed, case.case_id, algorithm, trial)
     solve(algorithm, objective, np.random.default_rng(seed))
-    # Only the tracker calls ``problem.batch``, so every row through it is a
-    # budgeted evaluation; this scoring row is not, and skips it.
-    _, feasible, power = problem.evaluate_rows(objective.best_x, [1])
     return TrialRecord(
         case_id=case.case_id,
         algorithm=algorithm,
@@ -246,8 +226,8 @@ def run_trial(
         seed=seed,
         best_f=objective.best_f,
         gains=np.asarray(objective.best_x, dtype=float),
-        power=float(power[0]),
-        feasible=bool(feasible[0]),
+        power=objective.best_power,
+        feasible=objective.best_feasible,
         evals_used=objective.evals_used,
         trace=list(objective.improvements),
     )
@@ -312,13 +292,12 @@ def write_summary(path: Path, cases, algorithms, means: np.ndarray):
 
 
 def write_details(path: Path, cases, algorithms, cells):
-    rows = []
-    for case_id in cases:
-        for algo in algorithms:
-            s = cells[(case_id, algo)]
-            rows.append([case_id, algo] + [fmt(v) for v in (
-                s.mean, s.median, s.std, s.minimum, s.feasible_rate)])
-    _write_csv(path, ["case", "algorithm", "mean", "median", "std", "min", "feasible_rate"], rows)
+    _write_csv(
+        path,
+        ["case", "algorithm", "mean", "median", "std", "min", "feasible_rate"],
+        ([case_id, algo] + [fmt(v) for v in cells[(case_id, algo)]]
+         for case_id in cases for algo in algorithms),
+    )
 
 
 def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
@@ -345,8 +324,8 @@ def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
     _write_csv(root / "pairwise.csv", ["baseline", algorithms[baseline]], rows)
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None):
-    """Run the full grid and persist every output file.
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> None:
+    """Run the full grid and write every output file.
 
     Trials execute in a deterministic order (case-major, then algorithm,
     then trial).  With more than one worker the trials run in a process
@@ -369,25 +348,24 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None):
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = pool.map(_trial_job, jobs, chunksize=1)
-            records = _collect(config, cases, root, outcomes)
+            cells = _collect(config, cases, root, outcomes)
     else:
-        records = _collect(config, cases, root, map(_trial_job, jobs))
+        cells = _collect(config, cases, root, map(_trial_job, jobs))
 
     case_ids = [c.case_id for c in cases]
-    means = np.array(
-        [
-            [records[(cid, algo)].mean for algo in config.algorithms]
-            for cid in case_ids
-        ]
-    )
+    means = np.array([[cells[(cid, algo)][0] for algo in config.algorithms]
+                      for cid in case_ids])
     write_summary(root / "summary.csv", case_ids, config.algorithms, means)
-    write_details(root / "details.csv", case_ids, config.algorithms, records)
+    write_details(root / "details.csv", case_ids, config.algorithms, cells)
     write_rank_report(root, case_ids, config.algorithms, means)
-    return ExperimentResult(case_ids, list(config.algorithms), means, records)
 
 
 def _collect(config: ExperimentConfig, cases, root: Path, outcomes) -> dict:
-    """Stream trial records in order, flushing files as cells complete."""
+    """Stream trial records in order, flushing files as cells complete.
+
+    Returns each ``(case_id, algorithm)`` cell's ``(mean, median, std, min,
+    feasible_rate)`` of its trials, the column order of ``details.csv``.
+    """
     checkpoints = np.arange(TRACE_STEP, config.max_evals + 1, TRACE_STEP)
     cells = {}
     outcomes = iter(outcomes)
@@ -397,13 +375,9 @@ def _collect(config: ExperimentConfig, cases, root: Path, outcomes) -> dict:
             buffer = [next(outcomes) for _ in range(config.trials)]
             write_cell_files(root / case.case_id / algo, buffer)
             values = np.array([r.best_f for r in buffer])
-            cells[(case.case_id, algo)] = CellStats(
-                mean=float(values.mean()),
-                median=float(np.median(values)),
-                std=float(values.std()),
-                minimum=float(values.min()),
-                feasible_rate=float(np.mean([r.feasible for r in buffer])),
-            )
+            cells[(case.case_id, algo)] = (
+                values.mean(), np.median(values), values.std(), values.min(),
+                np.mean([r.feasible for r in buffer]))
             sampled = [sample_step_function(r.trace, checkpoints) for r in buffer]
             case_traces[algo] = np.mean(sampled, axis=0)
         write_trace_file(

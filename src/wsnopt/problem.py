@@ -297,7 +297,7 @@ class PowerAllocationProblem:
         """Fusion error probability of each row of the gain stack ``G``."""
         return _q_of_deflection(self.deflections(G))
 
-    def evaluate_rows(self, G: np.ndarray, iterations: np.ndarray):
+    def batch(self, G: np.ndarray, iterations: np.ndarray):
         """Penalized objective of each row of the gain stack ``G``.
 
         Returns ``(values, feasible, powers)``: ``powers`` is the total power
@@ -305,9 +305,7 @@ class PowerAllocationProblem:
         ``values`` adds the iteration-scaled penalty to the power of the other
         rows.  Violations are the positive part of the error-probability
         margin and of each negated gain.  Feasible rows have
-        ``values == powers`` exactly.  ``batch`` is this same call, and only
-        ``TrackedObjective`` calls it, so every row through ``batch`` is a
-        budgeted evaluation; scoring outside the budget calls this method.
+        ``values == powers`` exactly.
         """
         G = np.atleast_2d(np.asarray(G, dtype=float))
         powers = np.einsum("ij,ij->i", G, G)
@@ -321,7 +319,3 @@ class PowerAllocationProblem:
 
     def error_probability(self, g: np.ndarray) -> float:
         return float(self.error_probabilities(np.asarray(g, dtype=float)[None, :])[0])
-
-    def batch(self, G: np.ndarray, iterations: np.ndarray):
-        """Evaluate a stack of gain vectors; see ``evaluate_rows``."""
-        return self.evaluate_rows(G, iterations)

@@ -265,7 +265,7 @@ class TestTrackedObjective:
 
             def batch(self, X, iterations):
                 seen.extend(iterations.tolist())
-                return np.zeros(len(X)), np.zeros(len(X), dtype=bool), None
+                return np.zeros(len(X)), np.zeros(len(X), dtype=bool), np.zeros(len(X))
 
         obj = TrackedObjective(Recorder(), 20, population_size=2)
         for _ in range(5):
@@ -326,7 +326,7 @@ class TestTrackedObjective:
 
             def batch(self, X, iterations):
                 seen.extend(iterations.tolist())
-                return np.zeros(len(X)), np.zeros(len(X), dtype=bool), None
+                return np.zeros(len(X)), np.zeros(len(X), dtype=bool), np.zeros(len(X))
 
         obj = TrackedObjective(Recorder(), 20, population_size=3)
         obj.evaluate_batch(np.zeros((4, 2)))

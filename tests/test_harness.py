@@ -248,14 +248,21 @@ class TestTrialRecord:
     def test_feasible_flag_matches_stored_vector(self, tmp_path):
         from wsnopt.problem import PowerAllocationProblem
 
-        path = write_config(tmp_path, max_evals=2000)
-        config = ExperimentConfig.from_json(path)
-        case = config.cases()[0]
-        record = run_trial(config, case, "mlshade-spa", 0)
-        problem = PowerAllocationProblem(config.problem_config(case))
-        margin = problem.error_probability(record.gains) - problem.config.epsilon
-        assert record.feasible == (margin <= 0.0 and np.all(record.gains >= 0.0))
-        assert record.power == pytest.approx(float(record.gains @ record.gains))
+        # The second trial's ceiling is out of reach in 60 evaluations, so its
+        # best is infeasible and carries a penalty on top of its power.
+        tight = {"grid": [{"sensors": [20], "epsilon": [1e-12], "rho": [0.0]}],
+                 "max_evals": 60, "population_sizes": {"20": 20}}
+        for overrides, feasible in [({"max_evals": 2000}, True), (tight, False)]:
+            path = write_config(tmp_path, **overrides)
+            config = ExperimentConfig.from_json(path)
+            case = config.cases()[0]
+            record = run_trial(config, case, "mlshade-spa", 0)
+            problem = PowerAllocationProblem(config.problem_config(case))
+            margin = problem.error_probability(record.gains) - problem.config.epsilon
+            assert record.feasible == (margin <= 0.0 and np.all(record.gains >= 0.0))
+            assert record.feasible is feasible
+            assert record.power == pytest.approx(float(record.gains @ record.gains))
+            assert record.best_f == record.power if feasible else record.best_f > record.power
 
 
 class TestStepSampling:
@@ -290,8 +297,16 @@ def experiment(tmp_path_factory):
     config = ExperimentConfig.from_json(path)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "TRACE_STEP", 100)
-        result = run_experiment(config)
-    return config, result
+        assert run_experiment(config) is None
+    return config, Path(config.output_dir) / "results"
+
+
+def trial_columns(root, case_id, algorithm):
+    """A cell's ``best_f`` and ``feasible`` columns, read from its trials.csv."""
+    with open(root / case_id / algorithm / "trials.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    return (np.array([float(r["best_f"]) for r in rows]),
+            np.array([r["feasible"] == "1" for r in rows]))
 
 
 class TestOutputs:
@@ -316,33 +331,37 @@ class TestOutputs:
         assert int(first[4]) == config.max_evals
 
     def test_summary_is_case_by_algorithm_means(self, experiment):
-        config, result = experiment
-        root = Path(config.output_dir) / "results"
+        config, root = experiment
         lines = (root / "summary.csv").read_text().splitlines()
         assert lines[0] == "case,eade,mlshade-spa"
-        assert len(lines) == 1 + len(result.cases)
-        row = lines[1].split(",")
-        assert row[0] == "L8-rho0-eps0.1"
-        assert float(row[1]) == result.means[0, 0]
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "L8-rho0-eps0.1", "L8-rho0-eps0.05"]
+        assert all(len(line.split(",")) == 3 for line in lines[1:])
 
     def test_summary_means_match_trial_files(self, experiment):
-        config, result = experiment
-        root = Path(config.output_dir) / "results"
-        lines = (root / "L8-rho0-eps0.1" / "eade" / "trials.csv").read_text().splitlines()
-        values = [float(line.split(",")[2]) for line in lines[1:]]
-        assert np.mean(values) == pytest.approx(result.means[0, 0], rel=1e-15)
+        # The 17-digit cells round-trip, so each equals its recomputed mean.
+        config, root = experiment
+        with open(root / "summary.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(config.cases())
+        for row in rows:
+            for algo in config.algorithms:
+                values, _ = trial_columns(root, row["case"], algo)
+                assert float(row[algo]) == np.mean(values), (row["case"], algo)
 
     def test_details_schema(self, experiment):
-        config, result = experiment
-        root = Path(config.output_dir) / "results"
+        config, root = experiment
         lines = (root / "details.csv").read_text().splitlines()
         assert lines[0] == "case,algorithm,mean,median,std,min,feasible_rate"
-        assert len(lines) == 1 + len(result.cases) * len(result.algorithms)
-        cell = result.cells[("L8-rho0-eps0.1", "eade")]
-        row = lines[1].split(",")
-        assert row[:2] == ["L8-rho0-eps0.1", "eade"]
-        assert float(row[2]) == cell.mean
-        assert 0.0 <= cell.feasible_rate <= 1.0
+        expected = [(case.case_id, algo) for case in config.cases()
+                    for algo in config.algorithms]
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == expected
+        for line, (case_id, algo) in zip(lines[1:], expected):
+            values, feasible = trial_columns(root, case_id, algo)
+            recomputed = (np.mean(values), np.median(values), np.std(values),
+                          np.min(values), np.mean(feasible))
+            assert [float(v) for v in line.split(",")[2:]] == list(recomputed), line
+            assert 0.0 <= recomputed[4] <= 1.0
 
     def test_trace_rows_cover_budget_in_steps(self, experiment):
         config, _ = experiment
@@ -470,6 +489,9 @@ class TestCli:
             ({"algorithms": []}, "algorithms must be a non-empty list"),
             ({"population_sizes": {"8.0": 20}},
              "population_sizes keys must be decimal integers, not ['8.0']"),
+            ({"output_dir": 5}, "output_dir must be a string, not 5"),
+            ({"output_dir": None}, "output_dir must be a string, not None"),
+            ({"output_dir": ["a"]}, "output_dir must be a string, not ['a']"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
@@ -665,6 +687,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "--configs must be at least 1" in captured.err
         assert "agrees" not in captured.out
+
+    @pytest.mark.parametrize("seed", ["-1", "-2026"])
+    def test_validate_rejects_a_negative_seed(self, capsys, seed):
+        assert main(["validate", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be non-negative" in captured.err
+        assert captured.out == ""
 
 
 class TestFormatting:

@@ -27,7 +27,7 @@ from wsnopt.problem import (
 def evaluate_one(cfg, h, g, iteration):
     """Penalized value and power of one gain vector, as a batch of one."""
     g = np.asarray(g, dtype=float)
-    values, _, powers = PowerAllocationProblem(cfg, h).evaluate_rows(g[None, :], [iteration])
+    values, _, powers = PowerAllocationProblem(cfg, h).batch(g[None, :], [iteration])
     return values[0], powers[0]
 
 
@@ -214,7 +214,7 @@ class TestFusionErrorProbability:
         G = np.random.default_rng(3).uniform(0.0, 15.0, size=(4096, 800))
         tracemalloc.start()
         try:
-            prob.evaluate_rows(G, np.ones(len(G)))
+            prob.batch(G, np.ones(len(G)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,7 +268,7 @@ class TestFusionErrorProbability:
         G = np.ones((3, sensors))
         G[1, -1] = bad
         with pytest.raises(ValueError, match="gains must be finite"):
-            PowerAllocationProblem(cfg, np.ones(sensors)).evaluate_rows(G, np.ones(3))
+            PowerAllocationProblem(cfg, np.ones(sensors)).batch(G, np.ones(3))
 
     def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)

@@ -58,7 +58,7 @@ def test_batch_rows_are_scalar_calls(rho, data):
     cfg, h = prob.config, prob.fading
     values, feasible, powers = prob.batch(G, iterations)
     for k in range(len(G)):
-        one = PowerAllocationProblem(cfg, h).evaluate_rows(G[k : k + 1], [iterations[k]])
+        one = PowerAllocationProblem(cfg, h).batch(G[k : k + 1], [iterations[k]])
         assert values[k] == one[0][0]
         assert powers[k] == one[2][0]
 
