@@ -76,9 +76,8 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     run_experiment(config)
-    root = Path(config.output_dir) / "results"
     print(f"wrote {len(config.cases())} cases x {len(config.algorithms)} algorithms")
-    print(f"summary: {root / 'summary.csv'}")
+    print(f"summary: {Path(config.output_dir) / 'results' / 'summary.csv'}")
     return 0
 
 

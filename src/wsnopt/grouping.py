@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 from scipy.linalg import eigh
 
 from .evo import TrackedObjective
@@ -37,6 +36,8 @@ MIN_PARTNERS = 3
 PROBE_BUDGET_FRACTION = 0.8
 # Elements of the one buffer ``similarity_matrix`` probes through.
 _PROBE_ELEMENTS = 1 << 16
+# Lloyd steps of dgsc's k-means, after its k-means++ seeding.
+KMEANS_STEPS = 10
 
 
 @dataclass
@@ -231,6 +232,36 @@ def similarity_matrix(objective: TrackedObjective, rng: np.random.Generator) -> 
     return weights
 
 
+def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator) -> tuple:
+    """Centers and each row's label: k-means++ seeding (Arthur and
+    Vassilvitskii, SODA 2007), then ``KMEANS_STEPS`` Lloyd steps, drawing and
+    computing as scipy's ``kmeans2(data, k, minit="++")`` does, in its order,
+    so both and the generator's state match it.  Squared distances add one
+    feature at a time; a row joins its nearest center, the lowest index on a
+    tie; a center moves to the mean of its rows, summed in row order, and an
+    empty cluster keeps its center.  From 5 features on, ``kmeans2`` labels
+    by ``|x|^2 + |c|^2 - 2 x.c`` and may break a near-tie another way.
+    """
+    if not np.isfinite(data).all():
+        raise ValueError("k-means data must not contain infs or NaNs")
+
+    def squared_distances(centers: np.ndarray) -> np.ndarray:
+        return sum((centers[:, j, None] - data[:, j]) ** 2 for j in range(data.shape[1]))
+
+    centers = data[[rng.integers(len(data))]]
+    for _ in range(1, k):
+        d2 = squared_distances(centers).min(axis=0)
+        cumulative = (d2 / d2.sum()).cumsum()
+        centers = np.concatenate([centers, data[[np.searchsorted(cumulative, rng.uniform())]]])
+    for _ in range(KMEANS_STEPS):
+        labels = squared_distances(centers).argmin(axis=0)
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        for j, column in enumerate(data.T):
+            centers[filled, j] = np.bincount(labels, column, k)[filled] / counts[filled]
+    return centers, labels
+
+
 def dgsc_group(objective: TrackedObjective, rng: np.random.Generator) -> GroupingResult:
     """Decomposition by spectral clustering of the interaction-strength graph.
 
@@ -267,7 +298,7 @@ def dgsc_group(objective: TrackedObjective, rng: np.random.Generator) -> Groupin
         if k_eff == 1:
             labels = np.zeros(len(connected), dtype=int)
         else:
-            _, labels = kmeans2(embedding, k_eff, minit="++", seed=rng)
+            _, labels = _kmeans(embedding, k_eff, rng)
         for label in np.unique(labels):
             groups.append(np.sort(connected[labels == label]))
     groups.extend(_pack(isolated.tolist()))

@@ -128,6 +128,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a non-empty list")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, not {self.output_dir!r}")
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
+        results = Path(self.output_dir) / "results"
+        blocked = [p for p in (results, *results.parents) if p.exists() and not p.is_dir()]
+        if blocked:
+            raise ValueError(f"output_dir {self.output_dir!r}: {blocked[0]} is not a directory")
         grid = tuple(_grid_block(i, block) for i, block in enumerate(self.grid))
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
                     ("workers", self.workers)]

@@ -1,9 +1,11 @@
 """Tests for interaction detection and decomposition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.cluster.vq import kmeans2
 
 from wsnopt import grouping
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
@@ -335,3 +337,59 @@ class TestDgsc:
         result = dgsc_group(obj, rng=np.random.default_rng(0))
         assert obj.evals_used == len(calls) == 1 + 6 + 15
         assert_partition(result, 6)
+
+
+def kmeans2_result(data, k, rng):
+    """scipy's centers and labels for ``data``, and whether it found a
+    cluster empty."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+        warnings.simplefilter("always")
+        centers, labels = kmeans2(data, k, minit="++", seed=rng)
+    return centers, labels, any("clusters is empty" in str(w.message) for w in caught)
+
+
+class TestKmeans:
+    """``_kmeans`` against the ``kmeans2`` call it replaced, on twin generators."""
+
+    @staticmethod
+    def assert_matches_kmeans2(data, k, seed) -> bool:
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected_centers, expected_labels, emptied = kmeans2_result(data, k, theirs)
+        # Warnings are errors: an emptied cluster passes without one.
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            centers, labels = grouping._kmeans(data, k, ours)
+        np.testing.assert_array_equal(labels, expected_labels)
+        # Same labels, so each center is the same sum over the same rows.
+        np.testing.assert_array_equal(centers, expected_centers)
+        assert ours.random() == theirs.random()
+        return emptied
+
+    # dgsc clusters L variables into k = ceil(L / 100) groups by k unit-norm
+    # features; 800 x 8 is L = 800, and from 9 features on numpy's own sums
+    # would switch to pairwise blocks.
+    @pytest.mark.parametrize("rows, k", [(300, 3), (800, 8), (900, 10), (500, 12)])
+    def test_unit_norm_embeddings_match_kmeans2(self, rows, k):
+        rng = np.random.default_rng(rows + k)
+        for seed in range(10):
+            data = rng.normal(size=(rows, k))
+            data /= np.linalg.norm(data, axis=1, keepdims=True)
+            self.assert_matches_kmeans2(data, k, seed)
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3])
+    def test_duplicated_points_that_empty_a_cluster_match_kmeans2(self, distinct):
+        # Fewer distinct points than clusters: seeding repeats a center, and
+        # the copy with the higher index loses every point.
+        rng = np.random.default_rng(distinct)
+        emptied = []
+        for seed in range(10):
+            data = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=200)]
+            emptied.append(self.assert_matches_kmeans2(data, 4, seed))
+        assert all(emptied)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        data = np.ones((5, 2))
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            grouping._kmeans(data, 2, np.random.default_rng(0))

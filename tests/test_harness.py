@@ -41,6 +41,16 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+@pytest.fixture
+def blocked_tree(tmp_path, monkeypatch):
+    """A working directory holding a file ``afile`` and a file ``adir/results``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "adir" / "results").write_text("kept\n")
+    return tmp_path
+
+
 @pytest.fixture(autouse=True)
 def trace_every_100(monkeypatch):
     # Short budgets still sample several trace checkpoints.
@@ -492,15 +502,20 @@ class TestCli:
             ({"output_dir": 5}, "output_dir must be a string, not 5"),
             ({"output_dir": None}, "output_dir must be a string, not None"),
             ({"output_dir": ["a"]}, "output_dir must be a string, not ['a']"),
+            ({"output_dir": ""}, "config error: output_dir must not be empty"),
+            ({"output_dir": "afile"}, "output_dir 'afile': afile is not a directory"),
+            ({"output_dir": "afile/sub"}, "output_dir 'afile/sub': afile is not a directory"),
+            ({"output_dir": "adir"}, "output_dir 'adir': adir/results is not a directory"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
-        self, tmp_path, capsys, overrides, message
+        self, blocked_tree, capsys, overrides, message
     ):
-        path = write_config(tmp_path, **overrides)
+        path = write_config(blocked_tree, **overrides)
+        before = sorted(blocked_tree.rglob("*"))
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert sorted(blocked_tree.rglob("*")) == before
 
     @pytest.mark.parametrize("text", ["[1, 2]", "7"])
     def test_run_rejects_config_that_is_not_an_object(self, tmp_path, capsys, text):
@@ -574,17 +589,24 @@ class TestCli:
          (["--sensors", "8", "--epsilon", "0.1", "--algo", "eade",
            "--population", "9"], "eade needs a population"),
          (["--sensors", "8", "--epsilon", "0.1", "--algo", "cbcc-rdg3",
-           "--population", "0"], "population size for 8 sensors must be at least 1")],
+           "--population", "0"], "population size for 8 sensors must be at least 1"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", ""], "output_dir must not be empty"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", "afile"],
+          "output_dir 'afile': afile is not a directory"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", "adir"],
+          "output_dir 'adir': adir/results is not a directory")],
     )
     def test_case_rejects_out_of_range_values_before_output(
-        self, tmp_path, capsys, flags, message
+        self, blocked_tree, capsys, flags, message
     ):
-        rc = main(["case", *flags, "--out", str(tmp_path / "x")])
+        # A row's own --out comes later and replaces this one.
+        before = sorted(blocked_tree.rglob("*"))
+        rc = main(["case", "--out", str(blocked_tree / "x"), *flags])
         assert rc == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "x").exists()
+        assert sorted(blocked_tree.rglob("*")) == before
 
     def test_stats_subcommand_on_reference_table(self, capsys):
         from importlib import resources
