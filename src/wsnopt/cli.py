@@ -17,14 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    ExperimentConfig,
-    derive_seed,
-    fmt,
-    run_experiment,
-    run_trial,
-    write_cell_files,
-)
+from .harness import ExperimentConfig, derive_seed, run_experiment
 from .problem import PowerAllocationProblem, WsnConfig, monte_carlo_error_rate
 from .stats import friedman_ranks, paired_rank_tests, read_table
 
@@ -67,11 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
+def run_grid(build) -> int:
+    """Run the config ``build()`` returns; a config error exits 2 before output."""
     try:
-        config = ExperimentConfig.from_json(args.config)
-        if args.workers is not None:
-            config = replace(config, workers=args.workers)
+        config = build()
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -81,34 +73,24 @@ def cmd_run(args) -> int:
     return 0
 
 
+def cmd_run(args) -> int:
+    def build():
+        config = ExperimentConfig.from_json(args.config)
+        return config if args.workers is None else replace(config, workers=args.workers)
+
+    return run_grid(build)
+
+
 def cmd_case(args) -> int:
-    try:
-        config = ExperimentConfig(
-            grid=[{"sensors": [args.sensors], "epsilon": [args.epsilon], "rho": [args.rho]}],
-            algorithms=[args.algo],
-            trials=args.trials,
-            max_evals=args.max_evals,
-            population_sizes={args.sensors: args.population},
-            base_seed=args.seed,
-            output_dir=args.out,
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    case = config.cases()[0]
-    records = []
-    for trial in range(args.trials):
-        record = run_trial(config, case, args.algo, trial)
-        records.append(record)
-        tag = "feasible" if record.feasible else "infeasible"
-        print(
-            f"trial {trial}: best {fmt(record.best_f)} power {fmt(record.power)}"
-            f" ({tag}, {record.evals_used} evals)"
-        )
-    directory = Path(args.out) / "results" / case.case_id / args.algo
-    write_cell_files(directory, records)
-    print(f"wrote {directory / 'trials.csv'}")
-    return 0
+    return run_grid(lambda: ExperimentConfig(
+        grid=[{"sensors": [args.sensors], "epsilon": [args.epsilon], "rho": [args.rho]}],
+        algorithms=[args.algo],
+        trials=args.trials,
+        max_evals=args.max_evals,
+        population_sizes={args.sensors: args.population},
+        base_seed=args.seed,
+        output_dir=args.out,
+    ))
 
 
 def cmd_stats(args) -> int:

@@ -39,25 +39,20 @@ class BudgetExhausted(RuntimeError):
 class FunctionProblem:
     """Adapter that turns a plain function into an evaluatable problem.
 
-    ``fn`` maps one position to a float; ``batch_fn``, when given, maps an
-    ``(N, D)`` stack to a length-``N`` vector and is preferred for speed.
-    The penalty iteration is accepted and ignored, so static test functions
-    and the dynamic sensor-network objective share one interface; no row is
+    ``fn`` maps one position to a float and is called once per row.  The
+    penalty iteration is accepted and ignored, so static test functions and
+    the dynamic sensor-network objective share one interface; no row is
     feasible, and each row's value is also its power.
     """
 
-    def __init__(self, fn, dimension: int, bounds: Bounds, batch_fn=None):
+    def __init__(self, fn, dimension: int, bounds: Bounds):
         self.fn = fn
         self.dimension = int(dimension)
         self.bounds = bounds
-        self.batch_fn = batch_fn
 
     def batch(self, X: np.ndarray, iterations: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.batch_fn is not None:
-            values = np.asarray(self.batch_fn(X), dtype=float)
-        else:
-            values = np.array([self.fn(row) for row in X], dtype=float)
+        values = np.array([self.fn(row) for row in X], dtype=float)
         return values, np.zeros(len(values), dtype=bool), values
 
 

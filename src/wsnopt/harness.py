@@ -183,7 +183,8 @@ class ExperimentConfig:
             for sensors in block.sensors:
                 for rho in block.rho:
                     for eps in block.epsilon:
-                        case = CaseSpec(int(sensors), float(eps), float(rho))
+                        # + 0.0 turns a rho of -0.0 into 0.0, the same case.
+                        case = CaseSpec(int(sensors), float(eps), float(rho) + 0.0)
                         first = seen.setdefault(case.case_id, case)
                         if first != case:
                             raise ValueError(f"{first} and {case} share the"

@@ -39,9 +39,7 @@ def rotated_ellipsoid_objective(dim, condition, max_evals):
     def batch(X):
         return ((X @ rotation.T) ** 2) @ scales
 
-    problem = FunctionProblem(
-        lambda x: float(batch(x[None, :])[0]), dim, Bounds(-5.0, 5.0), batch_fn=batch
-    )
+    problem = FunctionProblem(lambda x: float(batch(x[None, :])[0]), dim, Bounds(-5.0, 5.0))
     return TrackedObjective(problem, max_evals)
 
 

@@ -16,12 +16,7 @@ from wsnopt.evo import (
 
 
 def sphere_problem(dim=5, bounds=Bounds(0.0, 15.0)):
-    return FunctionProblem(
-        lambda x: float(np.sum(x * x)),
-        dim,
-        bounds,
-        batch_fn=lambda X: np.einsum("ij,ij->i", X, X),
-    )
+    return FunctionProblem(lambda x: float(np.sum(x * x)), dim, bounds)
 
 
 class TestCrossoverRatePool:

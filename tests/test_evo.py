@@ -25,10 +25,6 @@ def sphere(x):
     return float(np.sum(x * x))
 
 
-def sphere_batch(X):
-    return np.einsum("ij,ij->i", X, X)
-
-
 class TestBounds:
     def test_defaults(self):
         b = Bounds()
@@ -43,7 +39,7 @@ class TestBounds:
 class TestInitPopulation:
     @staticmethod
     def tracker(dim, max_evals, population_size):
-        problem = FunctionProblem(sphere, dim, Bounds(0.0, 15.0), batch_fn=sphere_batch)
+        problem = FunctionProblem(sphere, dim, Bounds(0.0, 15.0))
         return TrackedObjective(problem, max_evals, population_size)
 
     def test_shape_and_range(self):
@@ -51,7 +47,7 @@ class TestInitPopulation:
         pop, fit = init_population(obj, np.random.default_rng(0))
         assert pop.shape == (30, 6)
         assert pop.min() >= 0.0 and pop.max() <= 15.0
-        np.testing.assert_array_equal(fit, sphere_batch(pop))
+        np.testing.assert_array_equal(fit, [sphere(row) for row in pop])
         assert obj.evals_used == 30
 
     def test_uniform_mean(self):
@@ -61,7 +57,7 @@ class TestInitPopulation:
     def test_budget_below_population_leaves_the_rest_unevaluated(self):
         obj = self.tracker(3, 7, 12)
         pop, fit = init_population(obj, np.random.default_rng(2))
-        np.testing.assert_array_equal(fit[:7], sphere_batch(pop[:7]))
+        np.testing.assert_array_equal(fit[:7], [sphere(row) for row in pop[:7]])
         assert np.all(fit[7:] == np.inf)
         assert obj.evals_used == 7
 
@@ -216,7 +212,7 @@ class TestSuccessHistory:
 
 class TestTrackedObjective:
     def make(self, max_evals=50, pop=1):
-        problem = FunctionProblem(sphere, 3, Bounds(-5.0, 5.0), batch_fn=sphere_batch)
+        problem = FunctionProblem(sphere, 3, Bounds(-5.0, 5.0))
         return TrackedObjective(problem, max_evals, population_size=pop)
 
     def test_budget_counts_every_call(self):

@@ -120,6 +120,12 @@ class TestConfig:
         config = ExperimentConfig.from_json(write_config(tmp_path, grid=[block, block]))
         assert [c.case_id for c in config.cases()] == ["L8-rho0-eps0.1", "L8-rho0.5-eps0.1"]
 
+    def test_negative_zero_rho_is_rho_zero(self, tmp_path):
+        grid = [{"sensors": [8], "epsilon": [0.1], "rho": [0, -0.0]}]
+        config = ExperimentConfig.from_json(write_config(tmp_path, grid=grid))
+        assert [c.case_id for c in config.cases()] == ["L8-rho0-eps0.1"]
+        assert str(config.cases()[0].correlation) == "0.0"
+
     def test_unknown_algorithm_rejected_with_choices(self, tmp_path):
         path = write_config(tmp_path, algorithms=["eade", "gradient-descent"])
         with pytest.raises(ValueError, match="gradient-descent"):
@@ -530,36 +536,28 @@ class TestCli:
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    CASE_FLAGS = ["--sensors", "8", "--epsilon", "0.1", "--algo", "eade", "--trials", "2",
+                  "--seed", "3", "--max-evals", "300", "--population", "20"]
+
     def test_case_subcommand_writes_files(self, tmp_path, capsys):
-        rc = main(
-            [
-                "case",
-                "--sensors",
-                "8",
-                "--epsilon",
-                "0.1",
-                "--algo",
-                "eade",
-                "--trials",
-                "2",
-                "--seed",
-                "3",
-                "--max-evals",
-                "300",
-                "--population",
-                "20",
-                "--out",
-                str(tmp_path / "case"),
-            ]
-        )
+        rc = main(["case", *self.CASE_FLAGS, "--out", str(tmp_path / "case")])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "trial 0" in out and "trial 1" in out
+        summary = tmp_path / "case" / "results" / "summary.csv"
+        assert capsys.readouterr().out == f"wrote 1 cases x 1 algorithms\nsummary: {summary}\n"
         trials = (
             tmp_path / "case" / "results" / "L8-rho0-eps0.1" / "eade" / "trials.csv"
         )
-        assert trials.is_file()
         assert len(trials.read_text().splitlines()) == 3
+        # The same tree, byte for byte, as run_experiment on the one-case config.
+        path = write_config(tmp_path, max_evals=300, base_seed=3)
+        run_experiment(ExperimentConfig.from_json(path))
+        assert hash_outputs(tmp_path / "case") == hash_outputs(tmp_path / "run")
+
+    def test_case_rho_negative_zero_writes_the_rho_zero_tree(self, tmp_path):
+        for rho in ("0", "-0"):
+            assert main(["case", *self.CASE_FLAGS, "--rho", rho,
+                         "--out", str(tmp_path / rho)]) == 0
+        assert hash_outputs(tmp_path / "-0") == hash_outputs(tmp_path / "0")
 
     def test_case_rejects_unknown_algorithm(self, tmp_path, capsys):
         rc = main(

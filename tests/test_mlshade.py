@@ -24,15 +24,20 @@ def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
 
 
-def sphere_batch(X):
-    return np.sum(np.asarray(X) ** 2, axis=1)
+def make_objective(dim, max_evals, population_size=1, bounds=Bounds(-5.0, 5.0)):
+    return TrackedObjective(FunctionProblem(sphere, dim, bounds), max_evals, population_size)
 
 
-def make_objective(
-    dim, max_evals, population_size=1, bounds=Bounds(-5.0, 5.0), batch_fn=sphere_batch
-):
-    problem = FunctionProblem(sphere, dim, bounds, batch_fn=batch_fn)
-    return TrackedObjective(problem, max_evals, population_size)
+class SpyProblem(FunctionProblem):
+    """The sphere on [-5, 5], keeping a copy of every stack it evaluates."""
+
+    def __init__(self, dim):
+        super().__init__(sphere, dim, Bounds(-5.0, 5.0))
+        self.stacks = []
+
+    def batch(self, X, iterations):
+        self.stacks.append(np.array(X, dtype=float))
+        return super().batch(X, iterations)
 
 
 class TestRandomDimensionGrouping:
@@ -152,18 +157,12 @@ class TestMlshadeSpaSolver:
         assert sphere(result.best_x) == pytest.approx(result.best_f)
 
     def test_population_shrinks_to_minimum(self):
-        sizes = []
-
-        def recording_batch(X):
-            sizes.append(len(X))
-            return sphere_batch(X)
-
         # Each cycle spends 25 generations' worth, so the shrink schedule
         # depends on the budget alone; at this one the last cycle runs at the
         # floor.  One-row batches are line-search steps.
-        obj = make_objective(10, 5500, population_size=40, batch_fn=recording_batch)
-        mlshade_spa(obj, np.random.default_rng(1))
-        assert [n for n in sizes if n > 1][-1] == 20
+        problem = SpyProblem(10)
+        mlshade_spa(TrackedObjective(problem, 5500, 40), np.random.default_rng(1))
+        assert [len(X) for X in problem.stacks if len(X) > 1][-1] == 20
 
     def test_budget_smaller_than_population(self):
         obj = make_objective(5, 7, population_size=20)
@@ -179,16 +178,10 @@ class TestMlshadeSpaSolver:
         np.testing.assert_array_equal(r1.best_x, r2.best_x)
 
     def test_all_evaluated_points_stay_in_bounds(self, monkeypatch):
-        seen = []
-
-        def checked_batch(X):
-            seen.append(np.asarray(X).copy())
-            return sphere_batch(X)
-
-        obj = make_objective(6, 1500, population_size=20, batch_fn=checked_batch)
+        problem = SpyProblem(6)
         monkeypatch.setattr(mlshade, "GROUP_SIZE_TARGET", 3)
-        mlshade_spa(obj, np.random.default_rng(4))
-        stacked = np.vstack(seen)
+        mlshade_spa(TrackedObjective(problem, 1500, 20), np.random.default_rng(4))
+        stacked = np.vstack(problem.stacks)
         assert stacked.min() >= -5.0
         assert stacked.max() <= 5.0
 
