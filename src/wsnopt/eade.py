@@ -35,14 +35,17 @@ MIN_POPULATION = 10
 class CrossoverRatePool:
     """Pool of the ``POOL_VALUES`` crossover rates, drawn by success ratio.
 
-    Draws are uniform until the first refresh.  Each refresh recomputes the
-    selection probabilities from the success ratios accumulated since the
-    previous refresh and then resets the counters; if nothing succeeded the
-    probabilities fall back to uniform.
+    Draws are uniform until the first refresh.  Every ``period``-th
+    ``record`` (counted in ``recorded``) refreshes: the probabilities become
+    the normalised success ratios accumulated since the previous refresh and
+    the counters reset; if nothing succeeded the probabilities fall back to
+    uniform.
     """
 
-    def __init__(self):
+    def __init__(self, period: int):
         k = len(POOL_VALUES)
+        self.period = period
+        self.recorded = 0
         self.probabilities = np.full(k, 1.0 / k)
         self.successes = np.zeros(k)
         self.failures = np.zeros(k)
@@ -56,6 +59,9 @@ class CrossoverRatePool:
         k = len(POOL_VALUES)
         self.successes += np.bincount(indices[success], minlength=k)
         self.failures += np.bincount(indices[~success], minlength=k)
+        self.recorded += 1
+        if self.recorded % self.period == 0:
+            self.refresh()
 
     def refresh(self):
         tried = (self.successes + self.failures) > 0.0
@@ -117,14 +123,9 @@ def eade(objective: TrackedObjective, rng: np.random.Generator) -> TrackedObject
     pop, fit = init_population(objective, rng)
 
     total_generations = max(1, objective.max_evals // n_pop)
-    period = max(1, round(LEARNING_FRACTION * total_generations))
-    pool = CrossoverRatePool()
+    pool = CrossoverRatePool(max(1, round(LEARNING_FRACTION * total_generations)))
 
-    generation = 0
     while objective.remaining > 0:
-        generation += 1
-        if generation > 1 and (generation - 1) % period == 0:
-            pool.refresh()
         n = min(n_pop, objective.remaining)
         drawn, cr = pool.draw(n, rng)
         slice_rows = rng.random(n) < MIX_PROBABILITY

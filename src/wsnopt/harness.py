@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a string, not {self.output_dir!r}")
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
-        results = Path(self.output_dir) / "results"
-        blocked = [p for p in (results, *results.parents) if p.exists() and not p.is_dir()]
+        traces = Path(self.output_dir) / "results" / "traces"
+        blocked = [p for p in (traces, *traces.parents) if p.exists() and not p.is_dir()]
         if blocked:
             raise ValueError(f"output_dir {self.output_dir!r}: {blocked[0]} is not a directory")
         grid = tuple(_grid_block(i, block) for i, block in enumerate(self.grid))
@@ -308,7 +308,9 @@ def write_details(path: Path, cases, algorithms, cells):
 
 
 def write_rank_report(root: Path, cases, algorithms, means: np.ndarray):
-    """Friedman ranks plus paired tests against the best-ranked algorithm."""
+    """Replace ``root``'s Friedman ranks and paired tests with this grid's, if any."""
+    for name in ("ranks.csv", "pairwise.csv"):
+        (root / name).unlink(missing_ok=True)
     if len(cases) < 2 or len(algorithms) < 2:
         return
     ranks = friedman_ranks(means)

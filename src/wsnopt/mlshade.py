@@ -192,16 +192,15 @@ class SuccessHistory:
 
 # ---- strategy generations ------------------------------------------------
 #
-# Each strategy builds its trial stack on the ``group`` columns of the
-# population and returns it with its learning step, which ``_generation``
-# calls with the improvement mask and gains before selection replaces any
-# parent.
+# Each strategy draws donors for ``sub``, the ``group`` columns of the
+# population, and returns them with their crossover rates and its learning
+# step, which ``_generation`` calls with the improvement mask and gains before
+# selection replaces any parent.
 
 
-def _history_de_trials(pop, fit, group, rng, state):
+def _history_de_donors(pop, sub, fit, group, rng, state):
     history, archive = state
     n_pop = len(pop)
-    sub = pop[:, group]
     f_scale, cr = history.sample(n_pop, rng)
     top = max(1, int(P_BEST_FRACTION * n_pop))
     pbest = sub[np.argsort(fit, kind="stable")[rng.integers(top, size=n_pop)]]
@@ -218,22 +217,19 @@ def _history_de_trials(pop, fit, group, rng, state):
                 archive.append(pop[i].copy())
         history.update(f_scale[improved], cr[improved], gains[improved])
 
-    return binomial_crossover(sub, donors, cr, rng), learn
+    return donors, cr, learn
 
 
-def _slice_de_trials(pop, fit, group, rng, pool):
+def _slice_de_donors(pop, sub, fit, group, rng, pool):
     n_pop = len(pop)
     n_slice = int(SLICE_FRACTION * n_pop)
-    sub = pop[:, group]
     drawn, cr = pool.draw(n_pop, rng)
     donors = eade_mutation(sub, np.argsort(fit, kind="stable"), n_slice, n_pop, rng)
-    trials = binomial_crossover(sub, donors, cr, rng)
-    return trials, lambda improved, gains: pool.record(drawn, improved)
+    return donors, cr, lambda improved, gains: pool.record(drawn, improved)
 
 
-def _triangular_de_trials(pop, fit, group, rng, state):
+def _triangular_de_donors(pop, sub, fit, group, rng, state):
     n_pop = len(pop)
-    sub = pop[:, group]
     # Three distinct members per row, the row's own member allowed.
     trio = np.argsort(rng.random((n_pop, n_pop)), axis=1)[:, :3]
     trio = np.take_along_axis(trio, np.argsort(fit[trio], axis=1, kind="stable"), axis=1)
@@ -241,19 +237,20 @@ def _triangular_de_trials(pop, fit, group, rng, state):
     center = (best + middle + worst) / 3.0
     f_scale = rng.uniform(F_LOW, F_HIGH, size=(n_pop, 1))
     donors = center + f_scale * (best - worst)
-    trials = binomial_crossover(sub, donors, TRIANGULAR_CR, rng)
-    return trials, lambda improved, gains: None
+    return donors, TRIANGULAR_CR, lambda improved, gains: None
 
 
 def _generation(strategy, state, pop, fit, group, objective, rng) -> float:
     """One generation of ``strategy`` on ``group``; returns the summed gain.
 
     Coordinates outside ``group`` keep their parent values, so only the
-    group needs reflecting.
+    group is crossed with the strategy's donors and reflected.
     """
-    sub_trials, learn = strategy(pop, fit, group, rng, state)
+    sub = pop[:, group]
+    donors, cr, learn = strategy(pop, sub, fit, group, rng, state)
     trials = pop.copy()
-    trials[:, group] = reflect_into_bounds(sub_trials, objective.bounds)
+    crossed = binomial_crossover(sub, donors, cr, rng)
+    trials[:, group] = reflect_into_bounds(crossed, objective.bounds)
     values = objective.evaluate_batch(trials)
     improved = values < fit
     gains = np.maximum(fit - values, 0.0)
@@ -282,18 +279,19 @@ def mlshade_spa(objective: TrackedObjective, rng: np.random.Generator) -> Tracke
 
     history = SuccessHistory()
     archive: list[np.ndarray] = []
-    pool = CrossoverRatePool()
+    pool = CrossoverRatePool(POOL_PERIOD)
     local_step = MMTS_RESTART_FRACTION * bounds.width
     n_groups = math.ceil(dim / GROUP_SIZE_TARGET)
     strategies = (
-        (_history_de_trials, (history, archive)),
-        (_slice_de_trials, pool),
-        (_triangular_de_trials, None),
+        (_history_de_donors, (history, archive)),
+        (_slice_de_donors, pool),
+        (_triangular_de_donors, None),
     )
     rates = np.zeros(len(strategies))
 
     while objective.remaining > 0:
         partition = random_dimension_grouping(dim, n_groups, rng)
+        pool.recorded = 0  # the pool's refresh count restarts every cycle
         n_pop = len(pop)
         cycle_quota = min(CYCLE_GENERATIONS * n_pop, objective.remaining)
         ea_quota = cycle_quota - int(round(LOCAL_FRACTION * cycle_quota))
@@ -306,8 +304,6 @@ def mlshade_spa(objective: TrackedObjective, rng: np.random.Generator) -> Tracke
             for g in range(generations):
                 group = partition[g % len(partition)]
                 gained += _generation(strategy, state, pop, fit, group, objective, rng)
-                if s == 1 and (g + 1) % POOL_PERIOD == 0:
-                    pool.refresh()
             rates[s] = gained / (generations * n_pop) if generations else 0.0
 
         local_budget = cycle_end - objective.evals_used

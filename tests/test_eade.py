@@ -15,47 +15,87 @@ from wsnopt.evo import (
 )
 
 
+# A pool period that no test reaches, so a test refreshes the pool by hand.
+NEVER_DUE = 10**9
+
+
 def sphere_problem(dim=5, bounds=Bounds(0.0, 15.0)):
     return FunctionProblem(lambda x: float(np.sum(x * x)), dim, bounds)
 
 
 class TestCrossoverRatePool:
     def test_uniform_before_first_refresh(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
 
     def test_success_ratio_dominates_after_refresh(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         for _ in range(10):
             pool.record(np.array([0, 1, 2]), np.array([False, True, False]))
         pool.refresh()
         assert pool.probabilities[1] > 0.9
 
     def test_all_failures_fall_back_to_uniform(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         pool.record(np.arange(3), np.zeros(3, dtype=bool))
         pool.refresh()
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
 
     def test_counters_reset_on_refresh(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         pool.record(np.array([0]), np.array([True]))
         pool.refresh()
         assert pool.successes.sum() == 0.0 and pool.failures.sum() == 0.0
 
     def test_draw_returns_pool_values(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         rng = np.random.default_rng(2)
         indices, rates = pool.draw(100, rng)
         assert set(rates.tolist()) == {0.05, 0.5, 0.95}
         np.testing.assert_array_equal(rates, np.array(POOL_VALUES)[indices])
 
     def test_untried_rates_can_recover_via_uniform_fallback(self):
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         pool.record(np.ones(5, dtype=int), np.ones(5, dtype=bool))
         pool.refresh()  # rate 1 takes all the mass
         pool.refresh()  # nothing recorded since: back to uniform
         np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
+
+    def refresh_log(self, pool):
+        """Make ``pool`` log the ``recorded`` count at each of its refreshes."""
+        log, original = [], pool.refresh
+
+        def refresh():
+            log.append(pool.recorded)
+            original()
+
+        pool.refresh = refresh
+        return log
+
+    def test_refreshes_after_every_period_th_record(self):
+        pool = CrossoverRatePool(3)
+        log = self.refresh_log(pool)
+        for k in range(1, 8):
+            pool.record(np.array([1, 2]), np.array([True, False]))
+            assert log == [3, 6][: k // 3]
+            if k == 2:
+                np.testing.assert_allclose(pool.probabilities, 1.0 / 3.0)
+            if k == 3:
+                np.testing.assert_allclose(pool.probabilities, [0.0, 1.0, 0.0])
+
+    def test_zeroing_recorded_restarts_the_count(self):
+        pool = CrossoverRatePool(3)
+        log = self.refresh_log(pool)
+        for _ in range(2):
+            pool.record(np.array([0]), np.array([True]))
+        pool.recorded = 0
+        for _ in range(2):
+            pool.record(np.array([0]), np.array([True]))
+        assert log == []
+        pool.record(np.array([0]), np.array([True]))
+        assert log == [3]
+        np.testing.assert_allclose(pool.probabilities, [1.0, 0.0, 0.0])
+        assert pool.successes.sum() == 0.0
 
 
 class FixedWeights:
@@ -185,7 +225,7 @@ class TestEadeSolver:
         pop = rng.uniform(bounds.lower, bounds.upper, size=(n_pop, dim))
         fit = obj.evaluate_batch(pop)
         period = max(1, round(0.1 * (max_evals // n_pop)))
-        pool = CrossoverRatePool()
+        pool = CrossoverRatePool(NEVER_DUE)
         generation = 0
         while obj.remaining > 0:
             generation += 1

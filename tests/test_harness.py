@@ -43,12 +43,20 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 @pytest.fixture
 def blocked_tree(tmp_path, monkeypatch):
-    """A working directory holding a file ``afile`` and a file ``adir/results``."""
+    """A working directory holding the files ``afile``, ``adir/results`` and
+    ``tdir/results/traces``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "adir" / "results").write_text("kept\n")
+    (tmp_path / "tdir" / "results").mkdir(parents=True)
+    (tmp_path / "tdir" / "results" / "traces").write_text("kept\n")
     return tmp_path
+
+
+def tree_contents(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 @pytest.fixture(autouse=True)
@@ -512,16 +520,18 @@ class TestCli:
             ({"output_dir": "afile"}, "output_dir 'afile': afile is not a directory"),
             ({"output_dir": "afile/sub"}, "output_dir 'afile/sub': afile is not a directory"),
             ({"output_dir": "adir"}, "output_dir 'adir': adir/results is not a directory"),
+            ({"output_dir": "tdir"},
+             "output_dir 'tdir': tdir/results/traces is not a directory"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
         self, blocked_tree, capsys, overrides, message
     ):
         path = write_config(blocked_tree, **overrides)
-        before = sorted(blocked_tree.rglob("*"))
+        before = tree_contents(blocked_tree)
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
-        assert sorted(blocked_tree.rglob("*")) == before
+        assert tree_contents(blocked_tree) == before
 
     @pytest.mark.parametrize("text", ["[1, 2]", "7"])
     def test_run_rejects_config_that_is_not_an_object(self, tmp_path, capsys, text):
@@ -559,6 +569,28 @@ class TestCli:
                          "--out", str(tmp_path / rho)]) == 0
         assert hash_outputs(tmp_path / "-0") == hash_outputs(tmp_path / "0")
 
+    def test_a_second_run_leaves_no_earlier_rank_report(self, tmp_path):
+        def run(out, rho, algorithms):
+            grid = [{"sensors": [8], "epsilon": [0.1, 0.05, 0.01], "rho": rho}]
+            path = write_config(tmp_path, grid=grid, algorithms=algorithms, trials=1,
+                                max_evals=200, base_seed=2026, output_dir=str(tmp_path / out))
+            assert main(["run", str(path)]) == 0
+
+        def report(out):
+            root = tmp_path / out / "results"
+            return {name: (root / name).read_text() for name in ("ranks.csv", "pairwise.csv")
+                    if (root / name).exists()}
+
+        run("run", [0.0, 0.5], ["eade", "cbcc-rdg3"])
+        assert report("run")["pairwise.csv"].startswith("baseline,cbcc-rdg3")
+        # The smaller grid's report is exactly what it gives in a new directory.
+        run("run", [0.0], ["eade", "mlshade-spa"])
+        run("fresh", [0.0], ["eade", "mlshade-spa"])
+        assert "mlshade-spa" in report("run")["ranks.csv"]
+        assert report("run") == report("fresh")
+        assert main(["case", *self.CASE_FLAGS, "--out", str(tmp_path / "run")]) == 0
+        assert report("run") == {}
+
     def test_case_rejects_unknown_algorithm(self, tmp_path, capsys):
         rc = main(
             [
@@ -592,19 +624,21 @@ class TestCli:
          (["--sensors", "8", "--epsilon", "0.1", "--out", "afile"],
           "output_dir 'afile': afile is not a directory"),
          (["--sensors", "8", "--epsilon", "0.1", "--out", "adir"],
-          "output_dir 'adir': adir/results is not a directory")],
+          "output_dir 'adir': adir/results is not a directory"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", "tdir"],
+          "output_dir 'tdir': tdir/results/traces is not a directory")],
     )
     def test_case_rejects_out_of_range_values_before_output(
         self, blocked_tree, capsys, flags, message
     ):
         # A row's own --out comes later and replaces this one.
-        before = sorted(blocked_tree.rglob("*"))
+        before = tree_contents(blocked_tree)
         rc = main(["case", "--out", str(blocked_tree / "x"), *flags])
         assert rc == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
-        assert sorted(blocked_tree.rglob("*")) == before
+        assert tree_contents(blocked_tree) == before
 
     def test_stats_subcommand_on_reference_table(self, capsys):
         from importlib import resources

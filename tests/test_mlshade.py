@@ -10,9 +10,9 @@ from wsnopt.mlshade import (
     MIN_POPULATION,
     SuccessHistory,
     _generation,
-    _history_de_trials,
-    _slice_de_trials,
-    _triangular_de_trials,
+    _history_de_donors,
+    _slice_de_donors,
+    _triangular_de_donors,
     mlshade_spa,
     mmts_local_search,
     quota_weights,
@@ -128,22 +128,76 @@ class TestMaskedGenerations:
         fit = obj.evaluate_batch(pop)
         return obj, pop, fit.copy(), rng
 
-    @pytest.mark.parametrize("strategy", ["history", "slice", "triangular"])
-    def test_trials_only_touch_group_coordinates(self, strategy):
+    def strategy(self, name):
+        """The named strategy with a fresh state."""
+        return {
+            "history": (_history_de_donors, (SuccessHistory(), [])),
+            "slice": (_slice_de_donors, CrossoverRatePool(mlshade.POOL_PERIOD)),
+            "triangular": (_triangular_de_donors, None),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["history", "slice", "triangular"])
+    def test_trials_only_touch_group_coordinates(self, name):
         obj, pop, fit, rng = self.setup_generation(3)
         original = pop.copy()
         group = np.array([0, 1])
-        if strategy == "history":
-            trials, state = _history_de_trials, (SuccessHistory(), [])
-        elif strategy == "slice":
-            trials, state = _slice_de_trials, CrossoverRatePool()
-        else:
-            trials, state = _triangular_de_trials, None
-        _generation(trials, state, pop, fit, group, obj, rng)
+        strategy, state = self.strategy(name)
+        _generation(strategy, state, pop, fit, group, obj, rng)
         # coordinates outside the active group never move, even on replacement
         np.testing.assert_array_equal(pop[:, 2:], original[:, 2:])
         changed = ~np.all(pop[:, :2] == original[:, :2], axis=1)
         assert changed.any()
+
+    @pytest.mark.parametrize("name", ["history", "slice", "triangular"])
+    def test_strategy_returns_donors_rates_and_learning_step(self, name):
+        _, pop, fit, rng = self.setup_generation(5)
+        original = pop.copy()
+        group = np.array([3, 0, 2])
+        strategy, state = self.strategy(name)
+        donors, cr, learn = strategy(pop, pop[:, group], fit, group, rng, state)
+        assert donors.shape == (len(pop), len(group))
+        assert np.all(np.isfinite(donors))
+        rates = np.broadcast_to(cr, len(pop))
+        assert np.all((rates >= 0.0) & (rates <= 1.0))
+        assert callable(learn)
+        np.testing.assert_array_equal(pop, original)
+
+    def test_pool_count_restarts_every_cycle(self, monkeypatch):
+        # Log cycle starts and the pool's records and refreshes; each refresh
+        # must follow a multiple of POOL_PERIOD records since the cycle start.
+        events = []
+
+        class LoggedPool(CrossoverRatePool):
+            def record(self, indices, success):
+                events.append("record")
+                super().record(indices, success)
+
+            def refresh(self):
+                events.append("refresh")
+                super().refresh()
+
+        def logged_grouping(*args):
+            events.append("cycle")
+            return random_dimension_grouping(*args)
+
+        monkeypatch.setattr(mlshade, "POOL_PERIOD", 3)
+        monkeypatch.setattr(mlshade, "CrossoverRatePool", LoggedPool)
+        monkeypatch.setattr(mlshade, "random_dimension_grouping", logged_grouping)
+        mlshade_spa(make_objective(8, 3000, population_size=20), np.random.default_rng(6))
+
+        per_cycle, refreshes = [], 0  # records counted since each cycle start
+        for event in events:
+            if event == "cycle":
+                per_cycle.append(0)
+            elif event == "record":
+                per_cycle[-1] += 1
+            else:
+                assert per_cycle[-1] > 0 and per_cycle[-1] % 3 == 0
+                refreshes += 1
+        assert refreshes == sum(n // 3 for n in per_cycle)
+        # A count carried across cycles would refresh at other records.
+        assert len(per_cycle) > 1 and per_cycle[0] % 3 != 0
+        assert refreshes > per_cycle[0] // 3
 
 
 class TestMlshadeSpaSolver:
