@@ -53,7 +53,6 @@ class SubproblemView:
         The lowest row (the first, on a tie) replaces the context's group
         when it is strictly below the context fitness.
         """
-        sub_points = np.atleast_2d(np.asarray(sub_points, dtype=float))
         full = np.repeat(self.context.values[None, :], len(sub_points), axis=0)
         full[:, self.indices] = sub_points
         values = self.objective.evaluate_batch(full)

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process count (overrides the config's workers)",
+        help="process count, never more than the trials (overrides the config's workers)",
     )
 
     p_case = sub.add_parser("case", help="run one case with explicit parameters")

@@ -51,7 +51,6 @@ class FunctionProblem:
         self.bounds = bounds
 
     def batch(self, X: np.ndarray, iterations: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         values = np.array([self.fn(row) for row in X], dtype=float)
         return values, np.zeros(len(values), dtype=bool), values
 

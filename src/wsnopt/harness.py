@@ -232,7 +232,7 @@ def run_trial(
         trial=trial,
         seed=seed,
         best_f=objective.best_f,
-        gains=np.asarray(objective.best_x, dtype=float),
+        gains=objective.best_x,
         power=objective.best_power,
         feasible=objective.best_feasible,
         evals_used=objective.evals_used,
@@ -338,9 +338,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> None
 
     Trials execute in a deterministic order (case-major, then algorithm,
     then trial).  With more than one worker the trials run in a process
-    pool; records are still committed in submission order, so the output
-    bytes do not depend on the worker count.  A ``workers`` argument
-    replaces the config's count and is checked like it.
+    pool of at most one process per trial; records are still committed in
+    submission order, so the output bytes do not depend on the worker count.
+    A ``workers`` argument replaces the config's count and is checked like it.
     """
     if workers is not None:
         config = replace(config, workers=workers)
@@ -354,8 +354,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> None
         for algo in config.algorithms
         for trial in range(config.trials)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # The pool starts all its processes at the first submit, so it gets no
+    # more than there are trials.
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_trial_job, jobs, chunksize=1)
             cells = _collect(config, cases, root, outcomes)
     else:

@@ -147,14 +147,17 @@ def fusion_error_probability(
     and "matrix" always uses the dense O(L^3) covariance factorization, the
     reference the kernel is checked against.
 
-    Raises ``numpy.linalg.LinAlgError`` when the effective covariance is
-    not positive definite (a degenerate configuration).
+    Both check ``h`` through ``PowerAllocationProblem``, so a non-finite
+    amplitude raises ``ValueError``.  Raises ``numpy.linalg.LinAlgError``
+    when the effective covariance is not positive definite (a degenerate
+    configuration).
     """
+    if method not in ("auto", "matrix"):
+        raise ValueError(f"unknown method {method!r}")
+    problem = PowerAllocationProblem(config, h)
     if method == "auto":
-        return PowerAllocationProblem(config, h).error_probability(g)
-    if method == "matrix":
-        return float(_q_of_deflection(_deflection(config, h, g)))
-    raise ValueError(f"unknown method {method!r}")
+        return problem.error_probability(g)
+    return float(_q_of_deflection(_deflection(config, problem.fading, g)))
 
 
 def monte_carlo_error_rate(
@@ -225,8 +228,9 @@ class PowerAllocationProblem:
         self.fading = sample_fading(config) if fading is None else np.asarray(fading, float)
         if self.fading.shape != (config.num_sensors,):
             raise ValueError("fading vector length must match num_sensors")
+        if not np.isfinite(self.fading).all():
+            raise ValueError("channel amplitudes must be finite")
         self.bounds = Bounds()
-        self._signal_power = config.signal_power
         self._white = config.correlation == 0.0 or config.num_sensors == 1
         L = config.num_sensors
         self._chunk = max(1, _CHUNK_ELEMENTS // L)
@@ -281,7 +285,7 @@ class PowerAllocationProblem:
             u = (g * self.fading) ** 2
             m = len(u)
             if self._white:
-                terms = self._signal_power * u / (u * self.config.sigma_v2 + sigma_w2)
+                terms = self.config.signal_power * u / (u * self.config.sigma_v2 + sigma_w2)
             else:
                 d = (self._c_t_diag + u / sigma_w2).ravel()
                 e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
@@ -291,31 +295,29 @@ class PowerAllocationProblem:
                     raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
                 terms = u * x.reshape(m, L)
             s[start : start + m] = terms.sum(axis=1)
-        return s if self._white else (self._signal_power / sigma_w2) * s
+        return s if self._white else (self.config.signal_power / sigma_w2) * s
 
     def error_probabilities(self, G: np.ndarray) -> np.ndarray:
         """Fusion error probability of each row of the gain stack ``G``."""
         return _q_of_deflection(self.deflections(G))
 
     def batch(self, G: np.ndarray, iterations: np.ndarray):
-        """Penalized objective of each row of the gain stack ``G``.
+        """Penalized objective of each row of the float ``(n, L)`` gain stack ``G``.
 
-        Returns ``(values, feasible, powers)``: ``powers`` is the total power
-        of each row, ``feasible`` marks rows with no active violation, and
-        ``values`` adds the iteration-scaled penalty to the power of the other
-        rows.  Violations are the positive part of the error-probability
-        margin and of each negated gain.  Feasible rows have
-        ``values == powers`` exactly.
+        ``G`` is the stack the tracker has already converted, and
+        ``iterations`` its penalty clock, one per row.  Returns ``(values,
+        feasible, powers)``: ``powers`` is the total power of each row and
+        ``values`` is ``powers + iterations * penalties`` for every row.
+        Violations are the positive part of the error-probability margin and
+        of each negated gain.  ``feasible`` marks rows with none, whose
+        penalty is 0, so a feasible row's value is its power exactly.
         """
-        G = np.atleast_2d(np.asarray(G, dtype=float))
         powers = np.einsum("ij,ij->i", G, G)
         penalties = staged_penalty(self.error_probabilities(G) - self.config.epsilon)
         if G.min(initial=0.0) < 0.0:
             penalties = penalties + staged_penalty(-G).sum(axis=1)
         feasible = penalties == 0.0
-        iterations = np.asarray(iterations, dtype=float)
-        values = np.where(feasible, powers, powers + iterations * penalties)
-        return values, feasible, powers
+        return powers + iterations * penalties, feasible, powers
 
     def error_probability(self, g: np.ndarray) -> float:
         return float(self.error_probabilities(np.asarray(g, dtype=float)[None, :])[0])

@@ -122,9 +122,4 @@ class SansdeSubsolver:
 
 def _outcome_counts(first: np.ndarray, improved: np.ndarray) -> np.ndarray:
     """Successes and failures of the first option, then of the second."""
-    return np.array([
-        np.sum(first & improved),
-        np.sum(first & ~improved),
-        np.sum(~first & improved),
-        np.sum(~first & ~improved),
-    ])
+    return np.bincount(2 * ~first + ~improved, minlength=4)

@@ -114,13 +114,12 @@ def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)
-    has_ties = len(np.unique(magnitudes)) < n
+    _, tie_sizes = np.unique(magnitudes, return_counts=True)
 
-    if n <= 25 and not has_ties:
+    if n <= 25 and len(tie_sizes) == n:
         return WilcoxonResult(_exact_p_value(ranks, statistic, n), statistic, n, exact=True)
 
     mean = n * (n + 1) / 4.0
-    _, tie_sizes = np.unique(magnitudes, return_counts=True)
     # Positive: the tie sum is at most n^3 - n, so this is >= n(n+1)^2/16.
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - np.sum(
         tie_sizes**3 - tie_sizes

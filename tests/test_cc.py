@@ -10,6 +10,7 @@ from wsnopt.cmaes import CmaesSubsolver
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
 from wsnopt.sansde import (
     SansdeSubsolver,
+    _outcome_counts,
     strategy_success_probability,
     weighted_crossover_mean,
 )
@@ -173,6 +174,18 @@ class TestSansdeSubsolver:
     )
     def test_strategy_probability(self, counts, expected):
         assert strategy_success_probability(*counts) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("fill", [None, True, False])
+    def test_outcome_counts_order(self, fill):
+        # Successes and failures of the first option, then of the second:
+        # the argument order of strategy_success_probability.
+        rng = np.random.default_rng(4)
+        first, improved = rng.random((2, 50)) < 0.5
+        if fill is not None:
+            first[:] = improved[:] = fill
+        expected = [np.sum(first & improved), np.sum(first & ~improved),
+                    np.sum(~first & improved), np.sum(~first & ~improved)]
+        np.testing.assert_array_equal(_outcome_counts(first, improved), expected)
 
     def test_weighted_crossover_mean(self):
         assert weighted_crossover_mean([0.2, 0.8], [1.0, 3.0]) == pytest.approx(0.65)

@@ -445,6 +445,36 @@ class TestDeterminism:
         run_experiment(ExperimentConfig.from_json(path_b), workers=3)
         assert hash_outputs(tmp_path / "serial") == hash_outputs(tmp_path / "pool")
 
+    def test_pool_gets_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        trees = {}
+        for trials, workers in [(2, 1), (2, 8), (1, 1), (1, 8)]:
+            out = tmp_path / f"t{trials}w{workers}"
+            path = write_config(tmp_path, trials=trials, output_dir=str(out))
+            run_experiment(ExperimentConfig.from_json(path), workers=workers)
+            trees[trials, workers] = hash_outputs(out)
+        # Two trials get two processes; one trial runs in this process.
+        assert requested == [2]
+        assert trees[2, 8] == trees[2, 1]
+        assert trees[1, 8] == trees[1, 1]
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):

@@ -423,3 +423,16 @@ class TestProblemBatch:
         cfg = WsnConfig(num_sensors=4)
         with pytest.raises(ValueError):
             PowerAllocationProblem(cfg, fading=np.ones(3))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, rho, bad):
+        # The kernel would score every row NaN and infeasible, with warnings.
+        cfg = WsnConfig(num_sensors=6, correlation=rho, epsilon=0.05, fading_seed=3)
+        h = sample_fading(cfg)
+        h[2] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PowerAllocationProblem(cfg, h)
+        for method in ("auto", "matrix"):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                fusion_error_probability(cfg, h, np.full(6, 2.0), method=method)
