@@ -36,7 +36,9 @@ class CmaesSubsolver:
         self.mu = self.lam // 2
         weights = math.log(self.mu + 0.5) - np.log(np.arange(1, self.mu + 1))
         self.weights = weights / weights.sum()
-        self.mueff = 1.0 / np.sum(self.weights**2)
+        # A Python float, so the per-generation scalar arithmetic below stays
+        # off numpy scalars.
+        self.mueff = float(1.0 / np.sum(self.weights**2))
 
         self.cs = (self.mueff + 2.0) / (n + self.mueff + 5.0)
         self.ds = (
@@ -51,6 +53,9 @@ class CmaesSubsolver:
             2.0 * (self.mueff - 2.0 + 1.0 / self.mueff) / ((n + 2.0) ** 2 + self.mueff),
         )
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+        # Scales of the σ-path and the covariance path's new steps.
+        self.cs_scale = math.sqrt(self.cs * (2.0 - self.cs) * self.mueff)
+        self.cc_scale = math.sqrt(self.cc * (2.0 - self.cc) * self.mueff)
 
         self.sigma0 = SIGMA_SCALE * view.bounds.width
         self.resets = 0
@@ -67,52 +72,53 @@ class CmaesSubsolver:
 
     def _reset(self):
         self.resets += 1
-        mean = self.mean if np.all(np.isfinite(self.mean)) else self.view.current()
+        mean = self.mean if np.isfinite(self.mean).all() else self.view.current()
         self._fresh_state(mean)
 
     def step(self, rng: np.random.Generator) -> None:
         n_cand = min(self.lam, self.view.remaining)
         z = rng.standard_normal((n_cand, self.n))
         steps = z @ self.factor.T
-        candidates = reflect_into_bounds(self.mean[None, :] + self.sigma * steps,
-                                         self.view.bounds)
+        candidates = np.multiply(self.sigma, steps, out=steps)
+        np.add(self.mean, candidates, out=candidates)
+        reflect_into_bounds(candidates, self.view.bounds)
         values = self.view.evaluate_batch(candidates)
         self.evals_done += n_cand
         if n_cand < self.lam:
             # Budget-truncated generation: keep the evaluations, skip the update.
             return
 
-        order = np.argsort(values, kind="stable")
-        selected = candidates[order[: self.mu]]
-        moves = (selected - self.mean[None, :]) / self.sigma
+        order = values.argsort(kind="stable")
+        moves = candidates.take(order[: self.mu], axis=0)
+        np.subtract(moves, self.mean, out=moves)
+        np.divide(moves, self.sigma, out=moves)
         move_mean = self.weights @ moves
 
         whitened, info = dtrtrs(self.factor, move_mean, lower=1)
         if info != 0:
             self._reset()
             return
-        self.path_sigma = (1.0 - self.cs) * self.path_sigma + math.sqrt(
-            self.cs * (2.0 - self.cs) * self.mueff
-        ) * whitened
+        path_sigma = np.multiply(1.0 - self.cs, self.path_sigma, out=self.path_sigma)
+        path_sigma += np.multiply(self.cs_scale, whitened, out=whitened)
         generations = self.evals_done / self.lam
-        norm_ps = float(np.linalg.norm(self.path_sigma))
+        norm_ps = math.sqrt(path_sigma.dot(path_sigma))
         hsig = norm_ps / math.sqrt(
             1.0 - (1.0 - self.cs) ** (2.0 * generations)
         ) / self.chi_n < 1.4 + 2.0 / (self.n + 1.0)
-        self.path_cov = (1.0 - self.cc) * self.path_cov + (
-            math.sqrt(self.cc * (2.0 - self.cc) * self.mueff) * move_mean
-            if hsig
-            else 0.0
-        )
+        path_cov = np.multiply(1.0 - self.cc, self.path_cov, out=self.path_cov)
+        path_cov += self.cc_scale * move_mean if hsig else 0.0
 
+        # C <- (1 - c1 - cmu) C + c1 (pc pc' + stall C) + cmu rank_mu, each
+        # product and sum in that order, folded into C in place.
         rank_mu = (moves * self.weights[:, None]).T @ moves
         stall_term = 0.0 if hsig else self.cc * (2.0 - self.cc)
-        self.cov = (
-            (1.0 - self.c1 - self.cmu) * self.cov
-            + self.c1 * (np.outer(self.path_cov, self.path_cov) + stall_term * self.cov)
-            + self.cmu * rank_mu
-        )
-        self.mean = self.mean + self.sigma * move_mean
+        rank_one = np.multiply.outer(path_cov, path_cov)
+        rank_one += np.multiply(stall_term, self.cov)
+        np.multiply(self.c1, rank_one, out=rank_one)
+        np.multiply(1.0 - self.c1 - self.cmu, self.cov, out=self.cov)
+        self.cov += rank_one
+        self.cov += np.multiply(self.cmu, rank_mu, out=rank_mu)
+        self.mean += np.multiply(self.sigma, move_mean, out=move_mean)
         self.sigma = self.sigma * math.exp(
             (self.cs / self.ds) * (norm_ps / self.chi_n - 1.0)
         )
@@ -120,9 +126,9 @@ class CmaesSubsolver:
         self.factor, info = dpotrf(self.cov, lower=1, clean=1)
         state_bad = (
             info != 0
-            or not np.all(np.isfinite(self.factor))
-            or not np.all(np.isfinite(self.mean))
-            or not np.isfinite(self.sigma)
+            or not np.isfinite(self.factor).all()
+            or not np.isfinite(self.mean).all()
+            or not math.isfinite(self.sigma)
             or self.sigma > 1e7 * self.sigma0
             or self.sigma <= 0.0
         )

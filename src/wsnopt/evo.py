@@ -112,9 +112,9 @@ class TrackedObjective:
         if len(values) == 1:
             rows = (0,)
         elif self.best_feasible:
-            rows = np.flatnonzero(feasible & (values < self.best_f))
+            rows = (feasible & (values < self.best_f)).nonzero()[0]
         else:
-            rows = np.flatnonzero(feasible | (values < self.best_f))
+            rows = (feasible | (values < self.best_f)).nonzero()[0]
         for k in rows:
             if feasible[k] > self.best_feasible or (
                 feasible[k] == self.best_feasible and values[k] < self.best_f
@@ -126,7 +126,9 @@ class TrackedObjective:
                 self.improvements.append((start + k + 1, self.best_f))
 
     def _evaluate(self, X: np.ndarray, pinned: bool) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            X = np.atleast_2d(X)
         n = len(X)
         if n > self.remaining:
             raise BudgetExhausted(
@@ -210,13 +212,18 @@ def reflect_into_bounds(x: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Mirror out-of-bounds coordinates at the violated face, then clamp.
 
     A coordinate below the lower face maps to ``2*lower - x`` and one above
-    the upper face to ``2*upper - x``; anything still outside after one
+    the upper face to ``2*upper - x``; anything still outside after that one
     reflection is clamped to the nearer face.  The float array ``x`` is
-    repaired in place and returned; both faces' masks are taken before
-    either reflection, so no coordinate is reflected twice.
+    repaired in place and returned.  Both comparisons are made before
+    either face is repaired, and each face's mirror image is copied only
+    over the coordinates outside that face, so no coordinate is reflected
+    twice.  The clamp is ``clip``: a ``maximum``/``minimum`` pair would not
+    be exact, because numpy does not say which zero it returns on a tie of
+    -0.0 and 0.0.
     """
     low, high = bounds.lower, bounds.upper
     below, above = x < low, x > high
-    np.subtract(2.0 * low, x, out=x, where=below)
-    np.subtract(2.0 * high, x, out=x, where=above)
-    return np.clip(x, low, high, out=x)
+    mirror = np.subtract(2.0 * low, x)
+    np.copyto(x, mirror, where=below)
+    np.copyto(x, np.subtract(2.0 * high, x, out=mirror), where=above)
+    return x.clip(low, high, out=x)

@@ -204,7 +204,7 @@ def _history_de_donors(pop, sub, fit, group, rng, state):
     f_scale, cr = history.sample(n_pop, rng)
     top = max(1, int(P_BEST_FRACTION * n_pop))
     pbest = sub[np.argsort(fit, kind="stable")[rng.integers(top, size=n_pop)]]
-    union = np.vstack([pop, *archive])[:, group]
+    union = np.concatenate([sub, np.array(archive).reshape(-1, pop.shape[1])[:, group]])
     r1, r2 = pick_distinct(n_pop, (n_pop, len(union)), rng).T
     f = f_scale[:, None]
     donors = sub + f * (pbest - sub) + f * (sub[r1] - union[r2])

@@ -20,6 +20,7 @@ problem; a scalar call is still a batch of one through that kernel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -40,6 +41,8 @@ RAYLEIGH_UNIT_MEAN_SCALE = math.sqrt(2.0 / math.pi)
 _CHUNK_ELEMENTS = 1 << 13
 # Received vectors simulated per draw of ``monte_carlo_error_rate``.
 _SAMPLE_CHUNK = 1 << 16
+# Weight of ``staged_penalty``'s last stage, the largest.
+_TOP_PENALTY_WEIGHT = 300.0
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,15 @@ def effective_noise_covariance(config: WsnConfig, h: np.ndarray, g: np.ndarray) 
     """Covariance of the received vector noise after amplify-and-forward.
 
     With the per-sensor scaling ``a = h * g`` this is
-    ``diag(a) @ Sigma_v @ diag(a) + sigma_w2 * I``.
+    ``diag(a) @ Sigma_v @ diag(a) + sigma_w2 * I``.  A non-finite amplitude
+    or gain raises ``ValueError`` before any arithmetic.
     """
-    a = np.asarray(h, dtype=float) * np.asarray(g, dtype=float)
+    h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("channel amplitudes must be finite")
+    if not np.isfinite(g).all():
+        raise ValueError("gains must be finite")
+    a = h * g
     sigma_v = build_signal_covariance(config)
     cov = sigma_v * np.outer(a, a)
     cov[np.diag_indices_from(cov)] += config.sigma_w2
@@ -125,8 +134,8 @@ def _deflection(config: WsnConfig, h: np.ndarray, g: np.ndarray) -> float:
 
     The O(L^3) reference behind ``method="matrix"``.
     """
-    a = np.asarray(h, dtype=float) * np.asarray(g, dtype=float)
     cov = effective_noise_covariance(config, h, g)
+    a = np.asarray(h, dtype=float) * np.asarray(g, dtype=float)
     # Factorization solve; an explicit matrix inverse is never formed.
     factor = cho_factor(cov, lower=True)
     y = cho_solve(factor, a)
@@ -173,12 +182,14 @@ def monte_carlo_error_rate(
     equal-prior log-likelihood-ratio rule (threshold 0), and returns the
     average of the false-alarm and miss rates.
     Serves as the independent oracle for ``fusion_error_probability``.
+    A non-finite amplitude or gain raises ``ValueError`` before any
+    arithmetic.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    cov = effective_noise_covariance(config, h, g)
     a = np.asarray(h, dtype=float) * np.asarray(g, dtype=float)
     m = math.sqrt(config.signal_power)
-    cov = effective_noise_covariance(config, h, g)
     chol = cholesky(cov, lower=True)
     w = cho_solve((chol, True), a)
     offset = 0.5 * config.signal_power * float(a @ w)
@@ -210,7 +221,7 @@ def staged_penalty(violations: np.ndarray) -> np.ndarray:
     v = np.maximum(violations, 0.0)
     if not v.any():
         return np.zeros(v.shape)
-    weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, 300.0))
+    weights = np.where(v <= 0.1, 10.0, np.where(v <= 1.0, 100.0, _TOP_PENALTY_WEIGHT))
     return weights * np.where(v < 1.0, v, v * v)
 
 
@@ -234,6 +245,15 @@ class PowerAllocationProblem:
         self._white = config.correlation == 0.0 or config.num_sensors == 1
         L = config.num_sensors
         self._chunk = max(1, _CHUNK_ELEMENTS // L)
+        # The largest gain magnitude the kernel takes.  Below it, a row's sum
+        # of its largest squared term, the top penalty weight times g**2 or
+        # (h*g)**2 times signal_power, sigma_v2 or 1/sigma_w2, stays under the
+        # square root of the largest double: no square or row sum overflows,
+        # and a value stays finite at any penalty iteration below that root.
+        h_max = float(np.abs(self.fading).max())
+        scale = max(_TOP_PENALTY_WEIGHT, h_max * h_max * max(
+            config.signal_power, config.sigma_v2, 1.0 / config.sigma_w2))
+        self._gain_bound = math.sqrt(math.sqrt(sys.float_info.max) / (L * scale))
         if self._white:
             return
         # The tridiagonal constants of ``deflections``.  ``dptsv`` overwrites
@@ -253,6 +273,20 @@ class PowerAllocationProblem:
     def dimension(self) -> int:
         return self.config.num_sensors
 
+    def _smallest_gain(self, G: np.ndarray) -> float:
+        """The smallest entry of ``G``, or 0.0 when none is negative.
+
+        One ``min`` and one ``max`` over the stack, with no temporary of its
+        size, also reject every gain that is NaN, infinite or beyond the
+        kernel's bound, which would score its row as a feasible NaN or inf,
+        overflow, or leak through a correlated chunk's zero couplings.
+        """
+        low, high = G.min(initial=0.0), G.max(initial=0.0)
+        if not (-self._gain_bound <= low and high <= self._gain_bound):
+            raise ValueError(
+                f"gains must be finite and at most {self._gain_bound:.3g} in magnitude")
+        return low
+
     def deflections(self, G: np.ndarray) -> np.ndarray:
         """Squared deflection of each row of the gain stack ``G``, O(L) a row.
 
@@ -266,36 +300,45 @@ class PowerAllocationProblem:
         gains.  ``M`` is symmetric and strictly diagonally dominant, hence
         positive definite, so ``dptsv`` solves it without pivoting.  Both paths
         work through ``G`` in chunks of rows, which bounds every temporary, and
-        sum each row along its own axis.  A correlated chunk is one
-        block-diagonal system whose zero couplings between rows leave every
-        row's arithmetic exactly as it is alone.  So a row's value does not
-        depend on its batch.  As ``r`` nears 1, ``T`` grows
-        ill-conditioned and the relative error at small gains grows like
+        sum each row along its own axis; a stack of one chunk is that chunk.
+        A correlated chunk is one block-diagonal system whose zero couplings
+        between rows leave every row's arithmetic exactly as it is alone.  So
+        a row's value does not depend on its batch.  As ``r`` nears 1, ``T``
+        grows ill-conditioned and the relative error at small gains grows like
         machine epsilon over ``(1 - r)**2``: about 3e-12 at ``r = 0.99``.
+        A gain that is not finite or beyond the kernel's bound raises
+        ``ValueError``.
         """
+        self._smallest_gain(G)
+        return self._deflections(G)
+
+    def _deflections(self, G: np.ndarray) -> np.ndarray:
+        rows = len(G)
+        if 0 < rows <= self._chunk:
+            s = self._row_sums(G)
+        else:
+            s = np.empty(rows)
+            for start in range(0, rows, self._chunk):
+                g = G[start : start + self._chunk]
+                s[start : start + len(g)] = self._row_sums(g)
+        return s if self._white else (self.config.signal_power / self.config.sigma_w2) * s
+
+    def _row_sums(self, g: np.ndarray) -> np.ndarray:
+        """The per-row sums of ``deflections`` for one non-empty chunk ``g``."""
         sigma_w2 = self.config.sigma_w2
-        rows, L = G.shape
-        s = np.empty(rows)
-        for start in range(0, rows, self._chunk):
-            g = G[start : start + self._chunk]
-            if not np.isfinite(g).all():
-                # A non-finite gain would score as a feasible NaN or inf, or
-                # leak through a correlated chunk's zero couplings.
-                raise ValueError("gains must be finite")
-            u = (g * self.fading) ** 2
-            m = len(u)
-            if self._white:
-                terms = self.config.signal_power * u / (u * self.config.sigma_v2 + sigma_w2)
-            else:
-                d = (self._c_t_diag + u / sigma_w2).ravel()
-                e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
-                b = self._c_t_ones[None].repeat(m, axis=0).reshape(-1, 1)
-                _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
-                if info != 0:
-                    raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
-                terms = u * x.reshape(m, L)
-            s[start : start + m] = terms.sum(axis=1)
-        return s if self._white else (self.config.signal_power / sigma_w2) * s
+        u = (g * self.fading) ** 2
+        if self._white:
+            terms = self.config.signal_power * u / (u * self.config.sigma_v2 + sigma_w2)
+        else:
+            m, L = u.shape
+            d = (self._c_t_diag + u / sigma_w2).ravel()
+            e = self._coupling[None].repeat(m, axis=0).ravel()[:-1]
+            b = self._c_t_ones[None].repeat(m, axis=0).reshape(-1, 1)
+            _, _, x, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+            if info != 0:
+                raise LinAlgError(f"tridiagonal system not positive definite (info={info})")
+            terms = u * x.reshape(m, L)
+        return terms.sum(axis=1)
 
     def error_probabilities(self, G: np.ndarray) -> np.ndarray:
         """Fusion error probability of each row of the gain stack ``G``."""
@@ -310,11 +353,13 @@ class PowerAllocationProblem:
         ``values`` is ``powers + iterations * penalties`` for every row.
         Violations are the positive part of the error-probability margin and
         of each negated gain.  ``feasible`` marks rows with none, whose
-        penalty is 0, so a feasible row's value is its power exactly.
+        penalty is 0, so a feasible row's value is its power exactly.  The
+        one scan that checks the gains also finds whether any is negative.
         """
+        smallest = self._smallest_gain(G)
         powers = np.einsum("ij,ij->i", G, G)
-        penalties = staged_penalty(self.error_probabilities(G) - self.config.epsilon)
-        if G.min(initial=0.0) < 0.0:
+        penalties = staged_penalty(_q_of_deflection(self._deflections(G)) - self.config.epsilon)
+        if smallest < 0.0:
             penalties = penalties + staged_penalty(-G).sum(axis=1)
         feasible = penalties == 0.0
         return powers + iterations * penalties, feasible, powers

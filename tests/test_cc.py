@@ -1,13 +1,17 @@
 """Tests for cooperative coevolution and its subproblem solvers."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from wsnopt import sansde
 from wsnopt.cc import ContextVector, SubproblemView, cc_optimize
 from wsnopt.cmaes import CmaesSubsolver
 from wsnopt.evo import Bounds, FunctionProblem, TrackedObjective
+from wsnopt.problem import PowerAllocationProblem, WsnConfig
 from wsnopt.sansde import (
     SansdeSubsolver,
     _outcome_counts,
@@ -42,6 +46,80 @@ def rotated_ellipsoid_objective(dim, condition, max_evals):
 
     problem = FunctionProblem(lambda x: float(batch(x[None, :])[0]), dim, Bounds(-5.0, 5.0))
     return TrackedObjective(problem, max_evals)
+
+
+def reference_cmaes_step(self, rng):
+    """``CmaesSubsolver.step`` written with one fresh array per product and
+    sum, the two-face reflection formula and ``np.all(np.isfinite(...))``
+    checks; returns ``hsig`` for a completed update, else None."""
+    n_cand = min(self.lam, self.view.remaining)
+    z = rng.standard_normal((n_cand, self.n))
+    steps = z @ self.factor.T
+    low, high = self.view.bounds.lower, self.view.bounds.upper
+    x = self.mean[None, :] + self.sigma * steps
+    candidates = np.clip(
+        np.where(x < low, 2.0 * low - x, np.where(x > high, 2.0 * high - x, x)), low, high
+    )
+    values = self.view.evaluate_batch(candidates)
+    self.evals_done += n_cand
+    if n_cand < self.lam:
+        return None
+    order = np.argsort(values, kind="stable")
+    selected = candidates[order[: self.mu]]
+    moves = (selected - self.mean[None, :]) / self.sigma
+    move_mean = self.weights @ moves
+    whitened, info = dtrtrs(self.factor, move_mean, lower=1)
+    if info != 0:
+        self._reset()
+        return None
+    self.path_sigma = (1.0 - self.cs) * self.path_sigma + math.sqrt(
+        self.cs * (2.0 - self.cs) * self.mueff
+    ) * whitened
+    generations = self.evals_done / self.lam
+    norm_ps = float(np.linalg.norm(self.path_sigma))
+    hsig = norm_ps / math.sqrt(
+        1.0 - (1.0 - self.cs) ** (2.0 * generations)
+    ) / self.chi_n < 1.4 + 2.0 / (self.n + 1.0)
+    self.path_cov = (1.0 - self.cc) * self.path_cov + (
+        math.sqrt(self.cc * (2.0 - self.cc) * self.mueff) * move_mean if hsig else 0.0
+    )
+    rank_mu = (moves * self.weights[:, None]).T @ moves
+    stall_term = 0.0 if hsig else self.cc * (2.0 - self.cc)
+    self.cov = (
+        (1.0 - self.c1 - self.cmu) * self.cov
+        + self.c1 * (np.outer(self.path_cov, self.path_cov) + stall_term * self.cov)
+        + self.cmu * rank_mu
+    )
+    self.mean = self.mean + self.sigma * move_mean
+    self.sigma = self.sigma * math.exp((self.cs / self.ds) * (norm_ps / self.chi_n - 1.0))
+    self.factor, info = dpotrf(self.cov, lower=1, clean=1)
+    if (
+        info != 0
+        or not np.all(np.isfinite(self.factor))
+        or not np.all(np.isfinite(self.mean))
+        or not np.isfinite(self.sigma)
+        or self.sigma > 1e7 * self.sigma0
+        or self.sigma <= 0.0
+    ):
+        self._reset()
+    return hsig
+
+
+def cmaes_on_white_l300():
+    """A context, a CMA-ES solver on a 51-variable group of a white L=300
+    problem, and the generator that steps it."""
+    config = WsnConfig(num_sensors=300, epsilon=0.01, fading_seed=4)
+    obj = TrackedObjective(PowerAllocationProblem(config), 10_000, 100)
+    start = np.random.default_rng(3).uniform(0.0, 15.0, 300)
+    context = ContextVector(start, obj.evaluate(start))
+    view = SubproblemView(obj, context, np.arange(2, 257, 5))
+    return context, CmaesSubsolver(view), np.random.default_rng(8)
+
+
+def cmaes_state(solver):
+    arrays = (solver.mean, solver.cov, solver.factor, solver.path_sigma, solver.path_cov)
+    return [a.tobytes() for a in arrays] + [
+        float(solver.sigma).hex(), solver.resets, solver.evals_done]
 
 
 class TestSubproblemView:
@@ -149,6 +227,52 @@ class TestCmaesSubsolver:
         y = rng.standard_normal(n)
         whitened = solve_triangular(factor, y, lower=True)
         assert whitened @ whitened == pytest.approx(y @ np.linalg.solve(cov, y), rel=1e-10)
+
+    def test_step_equals_reference_expressions_bit_for_bit(self):
+        # Two identical white L=300 problems, one stepped by the solver and
+        # one by the reference, over 300 generations at n=51.  Step 100 starts
+        # from a long sigma-path, so hsig is false; step 200 starts from a
+        # covariance that cannot be factored, which forces a reset.
+        context, solver, rng = cmaes_on_white_l300()
+        ref_context, reference, ref_rng = cmaes_on_white_l300()
+        assert solver.n == 51
+        hsigs, resets = [], []
+        for k in range(300):
+            for s in (solver, reference):
+                if k == 100:
+                    s.path_sigma = np.full(s.n, 50.0)
+                if k == 200:
+                    s.cov[0, 0] = -1e3
+            solver.step(rng)
+            hsigs.append(reference_cmaes_step(reference, ref_rng))
+            resets.append(solver.resets)
+            assert cmaes_state(solver) == cmaes_state(reference), k
+            assert context.values.tobytes() == ref_context.values.tobytes()
+            assert float(context.fitness).hex() == float(ref_context.fitness).hex()
+        assert hsigs[99] is True and hsigs[100] is False
+        assert resets[200] == resets[199] + 1
+
+    @pytest.mark.parametrize("entry, resets", [
+        ((3, 3), 1), ((7, 2), 1), ((50, 0), 1), ((50, 50), 1), ((2, 7), 0)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_resets_as_the_full_scan_does(self, entry, resets, bad):
+        # A non-finite entry on or below the diagonal resets the solver as it
+        # does the reference; one above it, which dpotrf does not read,
+        # resets neither.
+        def setup():
+            _, solver, rng = cmaes_on_white_l300()
+            for _ in range(20):
+                solver.step(rng)
+            solver.cov[entry] = bad
+            return solver, rng
+
+        solver, rng = setup()
+        reference, ref_rng = setup()
+        with np.errstate(invalid="ignore", over="ignore"):
+            solver.step(rng)
+            reference_cmaes_step(reference, ref_rng)
+        assert cmaes_state(solver) == cmaes_state(reference)
+        assert solver.resets == resets
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rotated_ellipsoid_convergence(self, seed):

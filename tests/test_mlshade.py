@@ -162,6 +162,37 @@ class TestMaskedGenerations:
         assert callable(learn)
         np.testing.assert_array_equal(pop, original)
 
+    @pytest.mark.parametrize("archived", [0, 7, MIN_POPULATION])
+    def test_history_union_is_the_stacked_rows_of_the_group(self, archived, monkeypatch):
+        # The donors read union rows r2; two pair draws, rows 0..n-1 and then
+        # the last n rows, read every row of the union, so equal donors mean
+        # the union equals np.vstack([pop, *archive])[:, group] row by row.
+        rng = np.random.default_rng(archived)
+        pop = rng.uniform(-5.0, 5.0, (MIN_POPULATION, 9))
+        fit = rng.uniform(0.0, 1.0, MIN_POPULATION)
+        archive = [rng.uniform(-5.0, 5.0, 9) for _ in range(archived)]
+        group = np.array([4, 0, 7])
+        sub = pop[:, group]
+        union = np.vstack([pop, *archive])[:, group]
+        for offset in (0, archived):
+            def pairs(n_rows, pools, rng, offset=offset):
+                assert tuple(pools) == (n_rows, len(union))
+                return np.column_stack([np.arange(n_rows)[::-1], offset + np.arange(n_rows)])
+
+            monkeypatch.setattr(mlshade, "pick_distinct", pairs)
+            state = (SuccessHistory(), archive)
+            donors, cr, _ = _history_de_donors(
+                pop, sub, fit, group, np.random.default_rng(1), state)
+            draws = np.random.default_rng(1)
+            f_scale, expected_cr = SuccessHistory().sample(len(pop), draws)
+            top = max(1, int(mlshade.P_BEST_FRACTION * len(pop)))
+            pbest = sub[np.argsort(fit, kind="stable")[draws.integers(top, size=len(pop))]]
+            r1, r2 = pairs(len(pop), (len(pop), len(union)), draws).T
+            f = f_scale[:, None]
+            expected = sub + f * (pbest - sub) + f * (sub[r1] - union[r2])
+            assert donors.tobytes() == expected.tobytes()
+            assert cr.tobytes() == expected_cr.tobytes()
+
     def test_pool_count_restarts_every_cycle(self, monkeypatch):
         # Log cycle starts and the pool's records and refreshes; each refresh
         # must follow a multiple of POOL_PERIOD records since the cycle start.

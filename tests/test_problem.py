@@ -270,6 +270,29 @@ class TestFusionErrorProbability:
         with pytest.raises(ValueError, match="gains must be finite"):
             PowerAllocationProblem(cfg, np.ones(sensors)).batch(G, np.ones(3))
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_gains_beyond_the_kernel_bound_rejected(self, rho):
+        # A finite gain of 1e200 overflowed its square and scored NaN; the
+        # one scan that checks finiteness rejects it, while gains at the
+        # bound evaluate to finite values without a warning at any sign.
+        cfg = WsnConfig(num_sensors=6, correlation=rho, fading_seed=3)
+        prob = PowerAllocationProblem(cfg)
+        bound = prob._gain_bound
+        assert 1e50 < bound < 1e200
+        for big in (1e200, -1e200, np.nextafter(bound, np.inf)):
+            G = np.ones((3, 6))
+            G[1, 4] = big
+            with pytest.raises(ValueError, match="gains must be finite and at most"):
+                prob.batch(G, np.ones(3))
+            with pytest.raises(ValueError, match="gains must be finite and at most"):
+                prob.error_probabilities(G)
+        G = np.ones((3, 6))
+        G[0, :] = bound
+        G[1, :] = -bound
+        values, feasible, powers = prob.batch(G, np.full(3, 1e6))
+        assert np.isfinite(values).all() and np.isfinite(powers).all()
+        assert not feasible[1] and values[1] > powers[1]
+
     def test_unknown_method_rejected(self):
         cfg = WsnConfig(num_sensors=3, correlation=0.5)
         for method in ("diagonal", "bogus"):
@@ -321,6 +344,21 @@ class TestMonteCarloOracle:
         cfg = WsnConfig(num_sensors=2)
         with pytest.raises(ValueError):
             monte_carlo_error_rate(cfg, np.ones(2), np.ones(2), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which, message", [
+        ("h", "channel amplitudes must be finite"), ("g", "gains must be finite")])
+    def test_non_finite_inputs_rejected_before_arithmetic(self, rho, bad, which, message):
+        # At rho=0 an inf amplitude times the white covariance's zeros warned
+        # (an error under the package's warning filter) before cholesky failed.
+        cfg = WsnConfig(num_sensors=6, correlation=rho, epsilon=0.05, fading_seed=3)
+        inputs = {"h": sample_fading(cfg), "g": np.full(6, 2.0)}
+        inputs[which][2] = bad
+        with pytest.raises(ValueError, match=message):
+            effective_noise_covariance(cfg, inputs["h"], inputs["g"])
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_error_rate(cfg, inputs["h"], inputs["g"], 100, np.random.default_rng(0))
 
 
 class TestPenalty:

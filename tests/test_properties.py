@@ -1,8 +1,9 @@
-"""Property tests of the row kernel and of the tracker's best-so-far.
+"""Property tests of the row kernel, the tracker's best-so-far and reflection.
 
 Every scalar entry point is a batch of one, and the error probability never
 rises when one gain is raised.  The tracker's batched bookkeeping follows
-the feasible-first order row by row, however the rows are batched.
+the feasible-first order row by row, however the rows are batched.  Bound
+repair gives the bits of the two-face reflection formula on any float.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
+from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
-from wsnopt.evo import Bounds, TrackedObjective  # noqa: E402
+from wsnopt.evo import Bounds, TrackedObjective, reflect_into_bounds  # noqa: E402
 from wsnopt.problem import (  # noqa: E402
     PowerAllocationProblem,
     WsnConfig,
@@ -150,3 +151,26 @@ def test_batched_best_follows_feasible_first_order_row_by_row(data):
     assert objective.best_feasible == best[0]
     assert objective.best_f == -best[1]
     assert objective.best_x[0] == events[-1][0] - 1
+
+
+# Bounds of moderate size, zeros of both signs and the package's own box
+# among them, so no mirror image overflows.
+BOUND_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 15.0, -3.0]), st.floats(-1e6, 1e6))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_reflection_equals_two_face_formula_bit_for_bit(data):
+    low, high = sorted([data.draw(BOUND_VALUES), data.draw(BOUND_VALUES)])
+    if not low < high:
+        return
+    # Any float: NaNs, infinities, subnormals and both zeros, plus the faces,
+    # their negations and their neighbours, so ties of -0.0 and 0.0 occur.
+    special = [low, high, -low, -high, 0.0, -0.0,
+               np.nextafter(low, -np.inf), np.nextafter(high, np.inf)]
+    elements = st.one_of(st.floats(), st.sampled_from(special))
+    x = data.draw(arrays(np.float64, array_shapes(max_dims=2, max_side=12), elements=elements))
+    expected = np.clip(
+        np.where(x < low, 2.0 * low - x, np.where(x > high, 2.0 * high - x, x)), low, high)
+    repaired = reflect_into_bounds(x.copy(), Bounds(low, high))
+    assert repaired.tobytes() == expected.tobytes()
