@@ -31,14 +31,8 @@ class SubproblemView:
         self.objective = objective
         self.context = context
         self.indices = np.asarray(indices, dtype=int)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
-
-    @property
-    def bounds(self):
-        return self.objective.bounds
+        self.dimension = len(self.indices)
+        self.bounds = objective.bounds
 
     @property
     def remaining(self) -> int:
@@ -53,11 +47,12 @@ class SubproblemView:
         The lowest row (the first, on a tie) replaces the context's group
         when it is strictly below the context fitness.
         """
-        full = np.repeat(self.context.values[None, :], len(sub_points), axis=0)
+        full = np.empty((len(sub_points), len(self.context.values)))
+        full[:] = self.context.values
         full[:, self.indices] = sub_points
         values = self.objective.evaluate_batch(full)
         if len(values):
-            best = int(np.argmin(values))
+            best = values.argmin()
             if values[best] < self.context.fitness:
                 self.context.values[self.indices] = sub_points[best]
                 self.context.fitness = float(values[best])

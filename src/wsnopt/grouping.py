@@ -82,18 +82,20 @@ def _pack(indices: list[int]) -> list[np.ndarray]:
 def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     """Recursive differential grouping with capped groups and packed separables.
 
-    Each variable not yet grouped starts a nucleus, which absorbs every
-    variable found to interact with it by a bisection search over the rest.
-    The nucleus is moved to the upper bound face and candidate sets to the
-    box midpoint, so the two shifts never coincide and additively separable
-    contributions cancel exactly.  A growing merged group is cut and emitted
-    as soon as it exceeds ``SIZE_CAP``, deliberately breaking long
-    interaction chains so that downstream subsolvers face bounded subproblem
-    sizes.  Separable variables are packed, in index order, into groups of
-    ``SEPARABLE_PACK``.  With ``SIZE_CAP`` >= dimension and
-    ``SEPARABLE_PACK`` = 1 this is plain recursive differential grouping:
-    merged groups closed under detected interaction, and every separable
-    variable on its own.
+    Each variable not yet grouped starts a nucleus, moved to the upper bound
+    face; candidate sets are moved to the box midpoint, so the two shifts
+    never coincide and additively separable contributions cancel exactly.
+    The nucleus grows in passes, one per round of growth, each over every
+    variable not yet grouped: sets are popped depth first, left half first,
+    and probed only while the nucleus is within ``SIZE_CAP``.  An interacting
+    set is halved, and an interacting variable joins the nucleus, which is
+    then probed again.  A merged group is thus cut as soon as it exceeds
+    ``SIZE_CAP``, deliberately breaking long interaction chains so that
+    subsolvers face bounded subproblem sizes.  Separable variables are
+    packed, in index order, into groups of ``SEPARABLE_PACK``.  With
+    ``SIZE_CAP`` >= dimension and ``SEPARABLE_PACK`` = 1 this is plain
+    recursive differential grouping: merged groups closed under detected
+    interaction, and every separable variable on its own.
     """
     bounds = objective.bounds
     base = _lower_corner(objective)
@@ -102,41 +104,31 @@ def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     remaining = list(range(objective.dimension))
     groups: list[np.ndarray] = []
     separable: list[int] = []
-
-    def nucleus_value() -> float:
-        x = base.copy()
-        x[nucleus] = bounds.upper
-        return objective.probe(x)
-
-    def absorb(candidates: list[int]) -> bool:
-        """Bisection search absorbing every direct interactor found."""
-        nonlocal f_nucleus
-        if len(nucleus) > SIZE_CAP:
-            return False
-        x2 = base.copy()
-        x2[candidates] = mid
-        x12 = x2.copy()
-        x12[nucleus] = bounds.upper
-        f2, f12 = objective.probe_batch(np.stack([x2, x12]))
-        _, hit = _interaction(f_base, f_nucleus, f2, f12, objective.dimension)
-        if not hit:
-            return False
-        if len(candidates) == 1:
-            nucleus.append(candidates[0])
-            remaining.remove(candidates[0])
-            f_nucleus = nucleus_value()
-            return True
-        half = len(candidates) // 2
-        left = absorb(candidates[:half])
-        right = absorb(candidates[half:])
-        return left or right
-
     while remaining:
         nucleus = [remaining.pop(0)]
-        f_nucleus = nucleus_value()
-        while remaining and len(nucleus) <= SIZE_CAP:
-            if not absorb(list(remaining)):
-                break
+        x1 = base.copy()
+        x1[nucleus] = bounds.upper
+        f_nucleus = objective.probe(x1)
+        grew = True
+        while grew and remaining and len(nucleus) <= SIZE_CAP:
+            grew, pending = False, [list(remaining)]
+            while pending and len(nucleus) <= SIZE_CAP:
+                candidates = pending.pop()
+                rows = np.stack([base, base])
+                rows[:, candidates] = mid
+                rows[1, nucleus] = bounds.upper
+                f2, f12 = objective.probe_batch(rows)
+                if not _interaction(f_base, f_nucleus, f2, f12, objective.dimension)[1]:
+                    continue
+                if len(candidates) > 1:
+                    half = len(candidates) // 2
+                    pending += [candidates[half:], candidates[:half]]
+                    continue
+                nucleus.append(candidates[0])
+                remaining.remove(candidates[0])
+                x1[candidates[0]] = bounds.upper
+                f_nucleus = objective.probe(x1)
+                grew = True
         if len(nucleus) == 1:
             separable.append(nucleus[0])
         else:

@@ -130,10 +130,6 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a string, not {self.output_dir!r}")
         if not self.output_dir:
             raise ValueError("output_dir must not be empty")
-        traces = Path(self.output_dir) / "results" / "traces"
-        blocked = [p for p in (traces, *traces.parents) if p.exists() and not p.is_dir()]
-        if blocked:
-            raise ValueError(f"output_dir {self.output_dir!r}: {blocked[0]} is not a directory")
         grid = tuple(_grid_block(i, block) for i, block in enumerate(self.grid))
         positive = [("trials", self.trials), ("max_evals", self.max_evals),
                     ("workers", self.workers)]
@@ -160,6 +156,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {unknown}; available: {sorted(SOLVERS)}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must not repeat: {list(self.algorithms)}")
+        root = Path(self.output_dir) / "results"
+        files = [root / n for n in ("summary.csv", "details.csv", "ranks.csv", "pairwise.csv")]
         for case in self.cases():
             population = self.population_size(case.sensors)
             if population is None:
@@ -172,6 +170,16 @@ class ExperimentConfig:
                                      f" (case {case.case_id})")
             # Builds the case's problem description, which checks its ranges.
             self.problem_config(case)
+            files.append(root / "traces" / f"{case.case_id}.csv")
+            files += [root / case.case_id / algo / name for algo in self.algorithms
+                      for name in ("trials.csv", "gains.csv")]
+        # No file a run writes or replaces may be a directory or lie below a
+        # non-directory.
+        blocked = [f"{p} is not a directory" for p in dict.fromkeys(
+            p for f in files for p in f.parents) if p.exists() and not p.is_dir()]
+        blocked += [f"{f} is a directory" for f in files if f.is_dir()]
+        if blocked:
+            raise ValueError(f"output_dir {self.output_dir!r}: {blocked[0]}")
 
     def population_size(self, sensors: int) -> int | None:
         """The population size set for ``sensors`` sensors, or None."""

@@ -209,6 +209,25 @@ class TestCmaesSubsolver:
         np.testing.assert_array_equal(solver.cov, np.eye(4))
         assert np.all(np.isfinite(solver.mean))
 
+    def test_singular_factor_resets_before_the_update(self):
+        # A zero on the factor's diagonal makes the whitening solve fail: the
+        # step resets at once, from the mean it started with.
+        obj = make_objective(sphere, 4, Bounds(-5.0, 5.0), 100)
+        context = ContextVector(np.ones(4), 4.0)
+        solver = CmaesSubsolver(SubproblemView(obj, context, range(4)))
+        solver.factor = np.diag([1.0, 0.0, 1.0, 1.0])
+        mean_before = solver.mean.copy()
+        solver.step(np.random.default_rng(0))
+        assert dtrtrs(np.diag([1.0, 0.0, 1.0, 1.0]), np.ones(4), lower=1)[1] == 2
+        assert obj.evals_used == solver.lam
+        assert solver.resets == 1
+        assert solver.mean.tobytes() == mean_before.tobytes()
+        assert solver.sigma == solver.sigma0
+        assert solver.evals_done == 0
+        np.testing.assert_array_equal(solver.cov, np.eye(4))
+        np.testing.assert_array_equal(solver.factor, np.eye(4))
+        np.testing.assert_array_equal(solver.path_sigma, np.zeros(4))
+
     def test_factor_is_the_cholesky_factor_of_the_covariance(self):
         n = 8
         obj = rotated_ellipsoid_objective(n, 1e4, 10_000)

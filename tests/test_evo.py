@@ -230,6 +230,20 @@ class TestTrackedObjective:
             obj.evaluate(np.ones(3))
         assert obj.evals_used == 3
 
+    @pytest.mark.parametrize("max_evals", [0, -1])
+    def test_non_positive_budget_rejected(self, max_evals):
+        with pytest.raises(ValueError, match="max_evals must be positive"):
+            self.make(max_evals=max_evals)
+
+    def test_one_dimensional_batch_is_one_row(self):
+        x = np.array([1.0, -2.0, 0.5])
+        batch, single = self.make(), self.make()
+        values = batch.evaluate_batch(x)
+        assert values.shape == (1,)
+        assert values[0] == single.evaluate(x)
+        assert batch.evals_used == single.evals_used == 1
+        assert batch.improvements == single.improvements == [(1, 5.25)]
+
     @pytest.mark.parametrize("pop", [0, -5])
     def test_non_positive_population_rejected(self, pop):
         with pytest.raises(ValueError, match="population_size"):

@@ -43,14 +43,18 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 @pytest.fixture
 def blocked_tree(tmp_path, monkeypatch):
-    """A working directory holding the files ``afile``, ``adir/results`` and
-    ``tdir/results/traces``."""
+    """A working directory holding the files ``afile``, ``adir/results``,
+    ``tdir/results/traces`` and ``cdir/results/L8-rho0-eps0.1`` (where a
+    cell's directory goes) and the directory ``sdir/results/summary.csv``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "adir" / "results").write_text("kept\n")
     (tmp_path / "tdir" / "results").mkdir(parents=True)
     (tmp_path / "tdir" / "results" / "traces").write_text("kept\n")
+    (tmp_path / "cdir" / "results").mkdir(parents=True)
+    (tmp_path / "cdir" / "results" / "L8-rho0-eps0.1").write_text("kept\n")
+    (tmp_path / "sdir" / "results" / "summary.csv").mkdir(parents=True)
     return tmp_path
 
 
@@ -552,6 +556,9 @@ class TestCli:
             ({"output_dir": "adir"}, "output_dir 'adir': adir/results is not a directory"),
             ({"output_dir": "tdir"},
              "output_dir 'tdir': tdir/results/traces is not a directory"),
+            ({"output_dir": "cdir"},
+             "output_dir 'cdir': cdir/results/L8-rho0-eps0.1 is not a directory"),
+            ({"output_dir": "sdir"}, "output_dir 'sdir': sdir/results/summary.csv is a directory"),
         ],
     )
     def test_run_rejects_out_of_range_values_before_output(
@@ -656,7 +663,11 @@ class TestCli:
          (["--sensors", "8", "--epsilon", "0.1", "--out", "adir"],
           "output_dir 'adir': adir/results is not a directory"),
          (["--sensors", "8", "--epsilon", "0.1", "--out", "tdir"],
-          "output_dir 'tdir': tdir/results/traces is not a directory")],
+          "output_dir 'tdir': tdir/results/traces is not a directory"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", "cdir"],
+          "output_dir 'cdir': cdir/results/L8-rho0-eps0.1 is not a directory"),
+         (["--sensors", "8", "--epsilon", "0.1", "--out", "sdir"],
+          "output_dir 'sdir': sdir/results/summary.csv is a directory")],
     )
     def test_case_rejects_out_of_range_values_before_output(
         self, blocked_tree, capsys, flags, message
@@ -771,6 +782,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert "--configs must be at least 1" in captured.err
         assert "agrees" not in captured.out
+
+    def test_validate_rejects_fewer_than_1000_samples(self, capsys):
+        assert main(["validate", "--samples", "999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--samples must be at least 1000\n"
+        assert captured.out == ""
+
+    def test_stats_skips_pairwise_tests_on_three_cases(self, tmp_path, capsys):
+        table = tmp_path / "three.csv"
+        table.write_text("case,a,b\nc1,1,2\nc2,2,3\nc3,3,4\n")
+        assert main(["stats", str(table)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("3 cases, 2 algorithms\n")
+        assert "pairwise tests skipped: need at least 5 nonzero differences" in out
 
     @pytest.mark.parametrize("seed", ["-1", "-2026"])
     def test_validate_rejects_a_negative_seed(self, capsys, seed):

@@ -1,9 +1,12 @@
-"""Property tests of the row kernel, the tracker's best-so-far and reflection.
+"""Property tests of the row kernel, the tracker's best-so-far, reflection
+and recursive differential grouping.
 
 Every scalar entry point is a batch of one, and the error probability never
 rises when one gain is raised.  The tracker's batched bookkeeping follows
 the feasible-first order row by row, however the rows are batched.  Bound
 repair gives the bits of the two-face reflection formula on any float.
+``rdg3_group``'s one loop probes the rows of the recursive search, in its
+order.
 """
 
 import numpy as np
@@ -15,7 +18,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
-from wsnopt.evo import Bounds, TrackedObjective, reflect_into_bounds  # noqa: E402
+from wsnopt import grouping  # noqa: E402
+from wsnopt.evo import (  # noqa: E402
+    Bounds,
+    BudgetExhausted,
+    FunctionProblem,
+    TrackedObjective,
+    reflect_into_bounds,
+)
+from wsnopt.grouping import rdg3_group  # noqa: E402
 from wsnopt.problem import (  # noqa: E402
     PowerAllocationProblem,
     WsnConfig,
@@ -174,3 +185,112 @@ def test_reflection_equals_two_face_formula_bit_for_bit(data):
         np.where(x < low, 2.0 * low - x, np.where(x > high, 2.0 * high - x, x)), low, high)
     repaired = reflect_into_bounds(x.copy(), Bounds(low, high))
     assert repaired.tobytes() == expected.tobytes()
+
+
+def recursive_rdg3_group(objective):
+    """``rdg3_group`` written as nested recursion, the form it had before its
+    search became one loop; the reference for the loop's probes."""
+    bounds = objective.bounds
+    base = grouping._lower_corner(objective)
+    mid = bounds.lower + 0.5 * bounds.width
+    f_base = objective.probe(base)
+    remaining = list(range(objective.dimension))
+    groups = []
+    separable = []
+
+    def nucleus_value():
+        x = base.copy()
+        x[nucleus] = bounds.upper
+        return objective.probe(x)
+
+    def absorb(candidates):
+        nonlocal f_nucleus
+        if len(nucleus) > grouping.SIZE_CAP:
+            return False
+        x2 = base.copy()
+        x2[candidates] = mid
+        x12 = x2.copy()
+        x12[nucleus] = bounds.upper
+        f2, f12 = objective.probe_batch(np.stack([x2, x12]))
+        _, hit = grouping._interaction(f_base, f_nucleus, f2, f12, objective.dimension)
+        if not hit:
+            return False
+        if len(candidates) == 1:
+            nucleus.append(candidates[0])
+            remaining.remove(candidates[0])
+            f_nucleus = nucleus_value()
+            return True
+        half = len(candidates) // 2
+        left = absorb(candidates[:half])
+        right = absorb(candidates[half:])
+        return left or right
+
+    while remaining:
+        nucleus = [remaining.pop(0)]
+        f_nucleus = nucleus_value()
+        while remaining and len(nucleus) <= grouping.SIZE_CAP:
+            if not absorb(list(remaining)):
+                break
+        if len(nucleus) == 1:
+            separable.append(nucleus[0])
+        else:
+            groups.append(np.array(sorted(nucleus), dtype=int))
+    return grouping.GroupingResult(groups + grouping._pack(separable))
+
+
+class RecordingProblem(FunctionProblem):
+    """A function problem that keeps the bytes of every row it evaluates."""
+
+    def __init__(self, fn, dimension):
+        super().__init__(fn, dimension, Bounds(0.0, 15.0))
+        self.rows = []
+
+    def batch(self, X, iterations):
+        self.rows += [row.tobytes() for row in X]
+        return super().batch(X, iterations)
+
+
+@st.composite
+def block_coupled_functions(draw):
+    """``(fn, dimension)``: a sphere plus the squared sum of each block.
+
+    The first ``coupled`` variables of a drawn order are cut into blocks of
+    drawn sizes, each overlapping the one before it by a drawn count, so
+    chains of blocks can exceed ``SIZE_CAP``; the other variables are
+    separable, and more than ``SEPARABLE_PACK`` of them fill two packs.
+    """
+    dim = draw(st.integers(1, 120) | st.integers(100, 120))
+    order = draw(st.permutations(range(dim)))
+    coupled = draw(st.integers(0, dim) | st.sampled_from([dim // 10, dim // 2, dim]))
+    incidence, start = [], 0
+    while start < coupled - 1:
+        size = draw(st.integers(2, 60))
+        row = np.zeros(dim)
+        row[order[start:min(start + size, coupled)]] = 1.0
+        incidence.append(row)
+        start += size - draw(st.integers(0, size - 1))
+    blocks = np.array(incidence).reshape(-1, dim)
+    return (lambda x: float(x @ x + np.sum((blocks @ x) ** 2))), dim
+
+
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_rdg3_loop_probes_the_rows_of_the_recursive_search(data):
+    fn, dim = data.draw(block_coupled_functions())
+
+    def run(group, max_evals):
+        problem = RecordingProblem(fn, dim)
+        objective = TrackedObjective(problem, max_evals)
+        try:
+            groups = [g.tolist() for g in group(objective).groups]
+        except BudgetExhausted:
+            groups = None
+        return problem.rows, groups, objective.evals_used, objective.improvements
+
+    reference = run(recursive_rdg3_group, 10**6)
+    assert run(rdg3_group, 10**6) == reference
+    # A budget that ends mid-search stops both at the same row.
+    budget = data.draw(st.integers(1, reference[2] - 1))
+    cut = run(recursive_rdg3_group, budget)
+    assert cut[1] is None
+    assert run(rdg3_group, budget) == cut

@@ -76,6 +76,20 @@ class TestSolversOnSensorProblem:
         assert objective.evals_used <= 12
         assert np.isfinite(result.best_f)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_probes_that_spend_the_budget_exactly_end_the_run(self, rho):
+        # With no evaluation left after grouping, cbcc-rdg3 returns before
+        # coevolution, whose first act would evaluate the seed point.
+        probed = TrackedObjective(small_problem(20, correlation=rho), 10**6, 20)
+        rdg3_group(probed)
+        budget = probed.evals_used
+        objective = TrackedObjective(small_problem(20, correlation=rho), budget, 20)
+        result = solve("cbcc-rdg3", objective, np.random.default_rng(0))
+        assert result.evals_used == budget
+        assert (result.best_f, result.best_power) == (probed.best_f, probed.best_power)
+        assert result.best_x.tobytes() == probed.best_x.tobytes()
+        assert result.improvements == probed.improvements
+
     def test_deterministic_across_repeats(self):
         outcomes = []
         for _ in range(2):

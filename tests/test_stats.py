@@ -225,6 +225,11 @@ class TestReadTable:
         assert names == ["a", "b"]
         np.testing.assert_array_equal(matrix, [[1.0, 2.0], [4.0, 3.0]])
 
+    @pytest.mark.parametrize("lines", [[], ["", "  "]])
+    def test_no_header_row_rejected(self, lines):
+        with pytest.raises(ValueError, match="need a header row"):
+            read_table(lines)
+
     def test_shape_and_finiteness_left_to_friedman_ranks(self):
         _, _, matrix = read_table(["case,a,b", "c1,1.0,nan"])
         assert matrix.shape == (1, 2)
