@@ -61,8 +61,8 @@ def _interaction(f_base, f_a, f_b, f_ab, dimension: int):
     times the smallest probe magnitude (at least 1).  The values are scalars
     or arrays with one entry per test, and so are the results.
     """
-    lam = np.abs((f_a - f_base) - (f_ab - f_b))
-    smallest = np.abs(np.broadcast_arrays(f_base, f_a, f_b, f_ab)).min(axis=0)
+    lam = abs((f_a - f_base) - (f_ab - f_b))
+    smallest = np.minimum(np.minimum(abs(f_base), abs(f_a)), np.minimum(abs(f_b), abs(f_ab)))
     return lam, lam > 1e-12 * dimension * np.maximum(smallest, 1.0)
 
 
@@ -101,6 +101,7 @@ def rdg3_group(objective: TrackedObjective) -> GroupingResult:
     base = _lower_corner(objective)
     mid = bounds.lower + 0.5 * bounds.width
     f_base = objective.probe(base)
+    rows = np.empty((2, objective.dimension))
     remaining = list(range(objective.dimension))
     groups: list[np.ndarray] = []
     separable: list[int] = []
@@ -114,10 +115,10 @@ def rdg3_group(objective: TrackedObjective) -> GroupingResult:
             grew, pending = False, [list(remaining)]
             while pending and len(nucleus) <= SIZE_CAP:
                 candidates = pending.pop()
-                rows = np.stack([base, base])
+                rows[:] = base
                 rows[:, candidates] = mid
                 rows[1, nucleus] = bounds.upper
-                f2, f12 = objective.probe_batch(rows)
+                f2, f12 = objective.probe_batch(rows).tolist()
                 if not _interaction(f_base, f_nucleus, f2, f12, objective.dimension)[1]:
                     continue
                 if len(candidates) > 1:

@@ -2,12 +2,15 @@
 and recursive differential grouping.
 
 Every scalar entry point is a batch of one, and the error probability never
-rises when one gain is raised.  The tracker's batched bookkeeping follows
-the feasible-first order row by row, however the rows are batched.  Bound
+rises when one gain is raised.  The float tail of small stacks gives the
+array path's bits.  The tracker's batched bookkeeping follows the
+feasible-first order row by row, however the rows are batched.  Bound
 repair gives the bits of the two-face reflection formula on any float.
 ``rdg3_group``'s one loop probes the rows of the recursive search, in its
-order.
+order, and the interaction test gives the bits of its broadcast form.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
 from wsnopt import grouping  # noqa: E402
+from wsnopt import problem as problem_module  # noqa: E402
 from wsnopt.evo import (  # noqa: E402
     Bounds,
     BudgetExhausted,
@@ -30,7 +34,9 @@ from wsnopt.grouping import rdg3_group  # noqa: E402
 from wsnopt.problem import (  # noqa: E402
     PowerAllocationProblem,
     WsnConfig,
+    _q_of_deflection,
     fusion_error_probability,
+    staged_penalty,
 )
 
 # Derandomized and without an example database, so every run checks the
@@ -100,6 +106,66 @@ def test_default_path_agrees_with_matrix_reference(rho, data):
         default = fusion_error_probability(prob.config, prob.fading, g)
         matrix = fusion_error_probability(prob.config, prob.fading, g, method="matrix")
         assert abs(default - matrix) < 1e-10
+
+
+@st.composite
+def small_stacks(draw):
+    """``(problem, G, iterations)``: 0 to ``_FLOAT_ROWS`` + 1 rows of no
+    negative gain, so both sides of the float tail's row limit occur.
+
+    Each row is one special gain throughout, a uniform draw at a drawn
+    scale, or special gains mixed, so rows are feasible, infeasible at either
+    penalty stage (an all-zero row's violation is 0.5 - epsilon), or at the
+    problem's gain bound.
+    """
+    cfg = WsnConfig(
+        num_sensors=draw(st.sampled_from([1, 8, 300])),
+        correlation=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        epsilon=draw(st.sampled_from([0.001, 0.01, 0.1, 0.49])),
+        fading_seed=draw(st.integers(0, 1000)),
+    )
+    prob = PowerAllocationProblem(cfg)
+    L = cfg.num_sensors
+    special = [0.0, -0.0, 5e-324, 1e-3, 7.5, 15.0, prob._gain_bound]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    # One and two rows, the sizes of probes and line-search steps, often.
+    sizes = st.sampled_from([1, 2]) | st.integers(0, problem_module._FLOAT_ROWS + 1)
+    for _ in range(draw(sizes)):
+        kind = draw(st.sampled_from(["special", "uniform", "mixed"]))
+        if kind == "special":
+            rows.append(np.full(L, draw(st.sampled_from(special))))
+        elif kind == "uniform":
+            rows.append(rng.uniform(0.0, draw(st.sampled_from([0.01, 0.1, 1.0, 15.0])), L))
+        else:
+            rows.append(rng.choice(special, L))
+    G = np.array(rows).reshape(len(rows), L)
+    iterations = np.array([draw(st.sampled_from([1.0, 7.0, 1e6])) for _ in rows])
+    return prob, G, iterations
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_float_tail_gives_the_array_paths_bits(data):
+    prob, G, iterations = data.draw(small_stacks())
+    values, feasible, powers = prob.batch(G, iterations)
+    penalties = staged_penalty(_q_of_deflection(prob.deflections(G)) - prob.config.epsilon)
+    expected_powers = np.einsum("ij,ij->i", G, G)
+    expected = (expected_powers + iterations * penalties, penalties == 0.0, expected_powers)
+    for got, want in zip((values, feasible, powers), expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if not len(G):
+        assert TrackedObjective(prob, 1).evaluate_batch(G).tolist() == []
+
+
+def test_float_stage_rule_is_the_array_rule():
+    cuts = [0.1, 1.0]
+    points = [-0.25, -0.0, 0.0, 5e-324, 0.5, 1e150]
+    points += [x for c in cuts for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0))]
+    for v in points:
+        got = problem_module._staged_penalty_float(float(v))
+        assert np.array([got]).tobytes() == staged_penalty(np.array([v])).tobytes()
 
 
 # Relative slack for the monotonicity check: on the "matrix" side the
@@ -294,3 +360,82 @@ def test_rdg3_loop_probes_the_rows_of_the_recursive_search(data):
     cut = run(recursive_rdg3_group, budget)
     assert cut[1] is None
     assert run(rdg3_group, budget) == cut
+
+
+def interaction_reference(f_base, f_a, f_b, f_ab, dimension):
+    """``_interaction``'s formula with a broadcast minimum, the reference for
+    its ``np.minimum`` chain."""
+    lam = np.abs((f_a - f_base) - (f_ab - f_b))
+    smallest = np.abs(np.broadcast_arrays(f_base, f_a, f_b, f_ab)).min(axis=0)
+    return lam, lam > 1e-12 * dimension * np.maximum(smallest, 1.0)
+
+
+# Any float: NaNs, infinities, both zeros, subnormals and magnitudes below 1,
+# where the threshold's floor of 1 applies.
+PROBE_VALUES = st.one_of(
+    st.floats(),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1.0, 2.5e-10]),
+)
+OFFSETS = st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 5e-9])
+
+
+@st.composite
+def probe_values(draw, size):
+    """One probe value: a Python float, a numpy scalar, or ``size`` entries."""
+    form = draw(st.sampled_from(["float", "scalar", "array"] if size else ["float", "scalar"]))
+    if form == "array":
+        return draw(arrays(np.float64, size, elements=PROBE_VALUES))
+    value = draw(PROBE_VALUES)
+    return value if form == "float" else np.float64(value)
+
+
+@st.composite
+def paired_probes(draw, size):
+    """The four probe values, ``f_a`` near ``f_base`` and ``f_ab`` near ``f_b``
+    at two drawn magnitudes of either sign, so ``lam`` falls a few thresholds
+    from 0 and the hit turns on which magnitude is the smallest."""
+    near = st.sampled_from([-4.0, -2.0, -0.5, 0.5, 2.0, 4.0])
+    b1, b2 = draw(near), draw(near)
+
+    def value(b):
+        if size and draw(st.booleans()):
+            return b + draw(arrays(np.float64, size, elements=OFFSETS))
+        return b + draw(OFFSETS)
+
+    return [b1 + draw(OFFSETS), value(b1), value(b2), value(b2)]
+
+
+def assert_same_interaction(args, dimension):
+    with np.errstate(all="ignore"):
+        got = grouping._interaction(*args, dimension)
+        want = interaction_reference(*args, dimension)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_interaction_gives_the_bits_of_its_broadcast_form(data):
+    size = data.draw(st.sampled_from([0, 1, 7]))
+    # The base is a scalar whenever the others are arrays, as in the groupers.
+    if data.draw(st.booleans()):
+        args = data.draw(paired_probes(size))
+    else:
+        args = [data.draw(probe_values(0))] + [data.draw(probe_values(size)) for _ in range(3)]
+    assert_same_interaction(args, data.draw(st.sampled_from([1, 300, 800])))
+
+
+@pytest.mark.parametrize("dimension", [1, 300, 800])
+def test_interaction_at_its_threshold_is_no_hit(dimension):
+    # Probe magnitudes below 1, so the threshold is 1e-12 * dimension, and
+    # lam equals it exactly from either difference, on floats and on arrays.
+    t = 1e-12 * dimension
+    for args in ((0.0, t, 0.0, 0.0), (0.0, 0.0, t, 0.0), (np.float64(0.0), t, -0.0, 0.0)):
+        lam, hit = grouping._interaction(*args, dimension)
+        assert lam == t and not hit
+        assert_same_interaction(args, dimension)
+        lam, hit = grouping._interaction(args[0], *(np.full(3, a) for a in args[1:]), dimension)
+        assert (lam == t).all() and not hit.any()
